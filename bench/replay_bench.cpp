@@ -13,7 +13,7 @@
  *
  * Usage:
  *   replay_bench [--records N] [--reps R] [--footprint-mb M]
- *                [--jobs N] [--fused] [--paged-frames N]
+ *                [--jobs N] [--paged-frames N]
  *                [--sample-clusters K] [--sample-interval N]
  *                [--sample-warmup N]
  *                [--out BENCH_replay.json] [--baseline OLD.json]
@@ -26,13 +26,6 @@
  * registry afterwards). Per-cell throughput numbers measure the same
  * single-thread inner loop for any jobs value; the sweep wall time
  * shows the parallel-replay scaling.
- *
- * --fused additionally replays each platform's whole layout grid in
- * one fused pass (cpu::simulateRunFused) and records fused vs.
- * sequential throughput, including the speedup ratio, in the JSON.
- * The fused counters are verified bit-identical against the
- * sequential runs before anything is written; a divergence fails the
- * benchmark (exit 4).
  *
  * --paged-frames sizes the paged stage's bounded FIFO frame pool
  * (default: half the footprint's 4K pages; 0 disables the stage).
@@ -98,15 +91,6 @@ struct BenchRun
     double wallSeconds = 0.0;
     double recordsPerSec = 0.0;
     cpu::RunResult result;
-};
-
-/** One fused pass (a platform's whole layout grid in one replay). */
-struct FusedRun
-{
-    std::string platform;
-    std::size_t layouts = 0;
-    double wallSeconds = 0.0;
-    double recordsPerSec = 0.0;
 };
 
 /**
@@ -187,34 +171,12 @@ hasFlag(int argc, char **argv, const char *name)
     return false;
 }
 
-/** Fields of a RunResult that must agree between engines. */
-bool
-sameCounters(const cpu::RunResult &a, const cpu::RunResult &b)
-{
-    return a.runtimeCycles == b.runtimeCycles &&
-           a.tlbHitsL2 == b.tlbHitsL2 && a.tlbMisses == b.tlbMisses &&
-           a.walkCycles == b.walkCycles && a.l1TlbHits == b.l1TlbHits &&
-           a.walkerQueueCycles == b.walkerQueueCycles &&
-           a.progL1dLoads == b.progL1dLoads &&
-           a.progL2Loads == b.progL2Loads &&
-           a.progL3Loads == b.progL3Loads &&
-           a.progDramLoads == b.progDramLoads &&
-           a.walkL1dLoads == b.walkL1dLoads &&
-           a.walkL2Loads == b.walkL2Loads &&
-           a.walkL3Loads == b.walkL3Loads &&
-           a.walkDramLoads == b.walkDramLoads &&
-           a.swapCycles == b.swapCycles &&
-           a.majorFaults == b.majorFaults &&
-           a.evictions == b.evictions && a.writebacks == b.writebacks;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const bool quick = hasFlag(argc, argv, "--quick");
-    const bool fused = hasFlag(argc, argv, "--fused");
     const std::uint64_t records = std::stoull(
         getOpt(argc, argv, "--records", quick ? "200000" : "2000000"));
     const int reps =
@@ -367,97 +329,6 @@ main(int argc, char **argv)
     if (host_hz > 0.0) {
         std::printf("host: %.1f cycles/record at %.3f GHz (TSC)\n",
                     aggregate_cycles, host_hz / 1e9);
-    }
-
-    // ---- Fused passes: each platform's whole layout grid through one
-    // trace pass. The per-lane counters must be bit-identical to the
-    // sequential cells above; a mismatch is a correctness bug, not a
-    // noise source, and fails the benchmark. ----
-    std::vector<FusedRun> fused_runs;
-    double fused_wall = 0.0, fused_records = 0.0;
-    if (fused) {
-        fused_runs.resize(platforms.size());
-        const unsigned fused_workers = std::max(
-            1u, std::min<unsigned>(
-                    jobs, static_cast<unsigned>(platforms.size())));
-        std::vector<MetricsRegistry> fused_shards(fused_workers);
-        std::atomic<std::size_t> next_platform{0};
-        std::atomic<bool> mismatch{false};
-        runPool(fused_workers, [&](unsigned worker) {
-            MetricsRegistry &shard = fused_shards[worker];
-            SimContext context(shard, faults(), 0, worker);
-            while (true) {
-                std::size_t p = next_platform.fetch_add(1);
-                if (p >= platforms.size())
-                    return;
-                const auto &platform = platforms[p];
-                // The grid cells of this platform, in mosaic order;
-                // all lanes replay the first cell's trace (the traced
-                // base is layout-independent by construction).
-                std::vector<const BenchCell *> grid;
-                std::vector<alloc::MosallocConfig> configs;
-                for (const auto &cell : cells) {
-                    if (cell.platform != &platform)
-                        continue;
-                    mosaic_assert(cell.base == cells[0].base,
-                                  "traced base must not depend on the "
-                                  "layout");
-                    grid.push_back(&cell);
-                    configs.push_back(cell.allocConfig);
-                }
-                const trace::MemoryTrace &trace = grid.front()->trace;
-
-                FusedRun run;
-                run.platform = platform.name;
-                run.layouts = configs.size();
-                run.wallSeconds = 1e300;
-                std::vector<Result<cpu::RunResult>> outcomes;
-                for (int rep = 0; rep < reps; ++rep) {
-                    PhaseStats before = shard.phase("replay/fused_pass");
-                    outcomes = cpu::simulateRunFused(platform, configs,
-                                                     trace, context);
-                    PhaseStats after = shard.phase("replay/fused_pass");
-                    run.wallSeconds = std::min(
-                        run.wallSeconds, after.seconds - before.seconds);
-                }
-                run.recordsPerSec = static_cast<double>(records) *
-                                    static_cast<double>(run.layouts) /
-                                    run.wallSeconds;
-                for (std::size_t i = 0; i < grid.size(); ++i) {
-                    if (!outcomes[i].ok() ||
-                        !sameCounters(outcomes[i].value(),
-                                      runs[grid[i] - cells.data()]
-                                          .result)) {
-                        std::fprintf(
-                            stderr,
-                            "FUSED COUNTER MISMATCH: %s/%s diverges "
-                            "from the sequential replay\n",
-                            platform.name.c_str(),
-                            grid[i]->mosaic->name);
-                        mismatch.store(true);
-                    }
-                }
-                fused_runs[p] = std::move(run);
-            }
-        });
-        if (mismatch.load())
-            return 4;
-        for (unsigned worker = 0; worker < fused_workers; ++worker)
-            mosaic::metrics().mergeFrom(fused_shards[worker]);
-
-        for (const auto &run : fused_runs) {
-            std::printf("%-12s fused(%zu layouts) %8.3fs  "
-                        "%12.0f records/sec\n",
-                        run.platform.c_str(), run.layouts,
-                        run.wallSeconds, run.recordsPerSec);
-            fused_wall += run.wallSeconds;
-            fused_records += static_cast<double>(records) *
-                             static_cast<double>(run.layouts);
-        }
-        std::printf("fused aggregate: %.3fs replay time, %.0f "
-                    "records/sec (%.3fx vs sequential)\n",
-                    fused_wall, fused_records / fused_wall,
-                    (fused_records / fused_wall) / aggregate_rps);
     }
 
     // ---- Paged stage: the demand-paging replay path (bounded FIFO
@@ -668,32 +539,6 @@ main(int argc, char **argv)
              << (i + 1 < runs.size() ? "," : "") << "\n";
     }
     json << "  ],\n";
-    if (fused) {
-        json << "  \"fused_runs\": [\n";
-        for (std::size_t i = 0; i < fused_runs.size(); ++i) {
-            const auto &run = fused_runs[i];
-            char line[256];
-            std::snprintf(line, sizeof line,
-                          "    {\"platform\": \"%s\", \"layouts\": %zu, "
-                          "\"wall_seconds\": %.6f, "
-                          "\"records_per_sec\": %.1f}%s\n",
-                          run.platform.c_str(), run.layouts,
-                          run.wallSeconds, run.recordsPerSec,
-                          i + 1 < fused_runs.size() ? "," : "");
-            json << line;
-        }
-        json << "  ],\n";
-        char fusedagg[256];
-        std::snprintf(fusedagg, sizeof fusedagg,
-                      "  \"fused\": {\"layouts_per_pass\": %zu, "
-                      "\"wall_seconds\": %.6f, "
-                      "\"records_per_sec\": %.1f, "
-                      "\"speedup_vs_sequential\": %.3f},\n",
-                      mosaics.size(), fused_wall,
-                      fused_records / fused_wall,
-                      (fused_records / fused_wall) / aggregate_rps);
-        json << fusedagg;
-    }
     if (!paged_runs.empty()) {
         json << "  \"paged_runs\": [\n";
         for (std::size_t i = 0; i < paged_runs.size(); ++i) {
@@ -810,8 +655,6 @@ main(int argc, char **argv)
         manifest.setConfig("reps", static_cast<std::uint64_t>(reps));
         manifest.setConfig("jobs", static_cast<std::uint64_t>(workers));
         manifest.setConfig("footprint_bytes", footprint);
-        manifest.setConfig("fused",
-                           static_cast<std::uint64_t>(fused ? 1 : 0));
         manifest.setConfig("out", out_path);
         auto written = manifest.write(metrics_out, mosaic::metrics());
         if (!written.ok()) {

@@ -6,7 +6,6 @@
 
 #include "support/error.hh"
 #include "support/logging.hh"
-#include "trace/replay_batch.hh"
 
 namespace mosaic::cpu
 {
@@ -21,6 +20,10 @@ CoreModel::CoreModel(const CoreParams &params)
 
 namespace
 {
+
+/** Records replayed per chunk: the staging buffers, the watchdog
+ *  cadence and the tenant interleaving turn are all one chunk. */
+constexpr std::size_t kChunkRecords = 1024;
 
 /**
  * Sliding history of (instruction index, retire time) pairs used to
@@ -80,8 +83,8 @@ class RetireHistory
 
 /**
  * Read the PMU counters of one finished replay back out of the
- * machine's MMU and hierarchy. Shared by the sequential and fused
- * engines so both produce the readout through identical code.
+ * machine's MMU and hierarchy. Shared by run() and runInterleaved()
+ * so both produce the readout through identical code.
  */
 RunResult
 readoutCounters(const trace::MemoryTrace &trace, double retire_clock,
@@ -120,11 +123,11 @@ readoutCounters(const trace::MemoryTrace &trace, double retire_clock,
 }
 
 /**
- * Cooperative watchdog check, shared by both replay engines. Called
- * once per chunk — a time query every ~1k simulated records per lane
- * — so the hot record loop stays branch-free of clock reads. The
+ * Cooperative watchdog check, shared by every replay entry point.
+ * Called once per chunk — a time query every ~1k simulated records —
+ * so the hot record loop stays branch-free of clock reads. The
  * overshoot bound past an expired deadline is therefore one chunk of
- * cold walks (kChunkRecords records on one lane), not a block.
+ * cold walks (kChunkRecords records).
  */
 inline void
 checkDeadline(std::chrono::steady_clock::time_point deadline)
@@ -135,38 +138,8 @@ checkDeadline(std::chrono::steady_clock::time_point deadline)
     }
 }
 
-/**
- * Record sources the replay kernels draw from. Both present the same
- * three per-record fields; the arithmetic consuming them is shared
- * (LaneEngine), so which source feeds a run can never change a
- * counter. The SoA form is the fused path's staged block (decoded
- * once, consumed by every lane); the AoS form reads the trace
- * in place, sparing the sequential path the restaging copy.
- */
-struct SoaRecords
-{
-    const trace::ReplayBatcher::Chunk &chunk;
-
-    std::size_t size() const { return chunk.size; }
-    VirtAddr vaddrAt(std::size_t i) const { return chunk.vaddr[i]; }
-    std::uint64_t
-    instsAt(std::size_t i) const
-    {
-        return (chunk.meta[i] & trace::ReplayBatcher::kGapMask) + 1;
-    }
-    bool
-    dependsAt(std::size_t i) const
-    {
-        return chunk.meta[i] & trace::ReplayBatcher::kDependsBit;
-    }
-    bool
-    writeAt(std::size_t i) const
-    {
-        return chunk.meta[i] & trace::ReplayBatcher::kWriteBit;
-    }
-};
-
-struct AosRecords
+/** One chunk of the trace, read in place by the replay kernels. */
+struct RecordChunk
 {
     const trace::TraceRecord *recs;
     std::size_t count;
@@ -185,10 +158,9 @@ struct AosRecords
 /**
  * Per-lane replay engine: the machine references, staging buffers, and
  * timing-model state of one simulated platform/mosaic cell, plus the
- * per-chunk stage/retire kernels. run() drives exactly one of these;
- * runFused() drives one per lane. Sharing the kernel bodies makes the
- * two engines arithmetic-identical *by construction* — there is one
- * per-record update sequence, not two kept in sync by review.
+ * per-chunk stage/retire kernels. run() and runSampled() drive one of
+ * these, runInterleaved() one per tenant; all of them share one
+ * per-record update sequence.
  */
 struct LaneEngine
 {
@@ -232,9 +204,9 @@ struct LaneEngine
           l1Latency(hier.config().latencies.l1),
           outstanding(core_params.maxOutstanding, 0.0),
           history(core_params.robInstructions),
-          stagedData(trace::ReplayBatcher::kChunkRecords),
-          stagedEntry(trace::ReplayBatcher::kChunkRecords),
-          stagedSize(trace::ReplayBatcher::kChunkRecords)
+          stagedData(kChunkRecords),
+          stagedEntry(kChunkRecords),
+          stagedSize(kChunkRecords)
     {
     }
 
@@ -243,9 +215,8 @@ struct LaneEngine
      * are independent (unlike the timing loop), so the host pipelines
      * the memo misses, and the timing loop then finds every slot warm.
      */
-    template <class Records>
     inline void
-    stageChunk(const Records &src)
+    stageChunk(const RecordChunk &src)
     {
         const std::size_t n = src.size();
         PhysAddr *staged_data = stagedData.data();
@@ -277,9 +248,9 @@ struct LaneEngine
      *         no paging branches — the safety rail the golden
      *         counters and the bench ratchet enforce.
      */
-    template <bool Paged, class Records>
+    template <bool Paged>
     inline void
-    retireChunk(const Records &src)
+    retireChunk(const RecordChunk &src)
     {
         const double base_cpi = params.baseCpi;
         const unsigned rob_instructions = params.robInstructions;
@@ -374,6 +345,33 @@ struct LaneEngine
             history.push(instIndex, retireClock);
         }
     }
+
+    /**
+     * Replay @p records [from, to) chunk by chunk, checking
+     * @p deadline before each chunk. Unbounded machines stage each
+     * chunk's translations first; paged ones translate live.
+     */
+    void
+    replayRange(const trace::TraceRecord *records, std::uint64_t from,
+                std::uint64_t to,
+                std::chrono::steady_clock::time_point deadline)
+    {
+        const bool paged = mmu.paged();
+        for (std::uint64_t base = from; base < to;
+             base += kChunkRecords) {
+            checkDeadline(deadline);
+            RecordChunk src{records + base,
+                            static_cast<std::size_t>(
+                                std::min<std::uint64_t>(kChunkRecords,
+                                                        to - base))};
+            if (paged) {
+                retireChunk<true>(src);
+            } else {
+                stageChunk(src);
+                retireChunk<false>(src);
+            }
+        }
+    }
 };
 
 } // namespace
@@ -384,28 +382,7 @@ CoreModel::run(const trace::MemoryTrace &trace, vm::Mmu &mmu,
                std::chrono::steady_clock::time_point deadline)
 {
     LaneEngine lane(mmu, hierarchy, params_);
-
-    // Sequential replay reads the trace in place (no restaging copy:
-    // the SoA batcher pays off only when several lanes consume one
-    // decode). Same chunk granularity as the batcher, so the staging
-    // buffers and watchdog cadence match the fused path.
-    const trace::TraceRecord *records = trace.records().data();
-    const std::size_t total = trace.size();
-    const bool paged = mmu.paged();
-    for (std::size_t base = 0; base < total;
-         base += trace::ReplayBatcher::kChunkRecords) {
-        checkDeadline(deadline);
-        AosRecords src{records + base,
-                       std::min(trace::ReplayBatcher::kChunkRecords,
-                                total - base)};
-        if (paged) {
-            lane.retireChunk<true>(src);
-        } else {
-            lane.stageChunk(src);
-            lane.retireChunk<false>(src);
-        }
-    }
-
+    lane.replayRange(trace.records().data(), 0, trace.size(), deadline);
     return readoutCounters(trace, lane.retireClock, mmu, hierarchy);
 }
 
@@ -487,31 +464,11 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
 
     const trace::TraceRecord *records = trace.records().data();
     const std::size_t total = trace.size();
-    const bool paged = mmu.paged();
 
-    // Replay [from, to) through the shared LaneEngine kernels, chunked
-    // like run(). Chunk partitioning cannot change a counter (staging
-    // is pure, prefetch hints never touch simulated state — the
-    // invariant the fused engine already rests on), so boundaries at
-    // segment edges instead of multiples of kChunkRecords are safe.
-    auto replay_range = [&](std::uint64_t from, std::uint64_t to) {
-        for (std::uint64_t base = from; base < to;
-             base += trace::ReplayBatcher::kChunkRecords) {
-            checkDeadline(deadline);
-            AosRecords src{records + base,
-                           static_cast<std::size_t>(
-                               std::min<std::uint64_t>(
-                                   trace::ReplayBatcher::kChunkRecords,
-                                   to - base))};
-            if (paged) {
-                lane.retireChunk<true>(src);
-            } else {
-                lane.stageChunk(src);
-                lane.retireChunk<false>(src);
-            }
-        }
-    };
-
+    // Chunk partitioning cannot change a counter (staging is pure,
+    // prefetch hints never touch simulated state), so chunks that
+    // start at segment edges instead of multiples of kChunkRecords
+    // are safe.
     std::vector<RunResult> results;
     results.reserve(segments.size());
     std::uint64_t prev_end = 0;
@@ -523,9 +480,10 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
                       "sampled segment out of range");
         prev_end = seg.end;
 
-        replay_range(seg.warmupBegin, seg.measureBegin);
+        lane.replayRange(records, seg.warmupBegin, seg.measureBegin,
+                         deadline);
         const BoundarySnapshot before = takeSnapshot(lane);
-        replay_range(seg.measureBegin, seg.end);
+        lane.replayRange(records, seg.measureBegin, seg.end, deadline);
         const BoundarySnapshot after = takeSnapshot(lane);
 
         Insts insts = 0;
@@ -533,66 +491,6 @@ CoreModel::runSampled(const trace::MemoryTrace &trace,
             insts += static_cast<Insts>(records[i].gap) + 1;
         results.push_back(deltaReadout(before, after, insts,
                                        seg.end - seg.measureBegin));
-    }
-    return results;
-}
-
-std::vector<RunResult>
-CoreModel::runFused(const trace::MemoryTrace &trace,
-                    std::span<const FusedLane> lanes,
-                    std::chrono::steady_clock::time_point deadline)
-{
-    const std::size_t num_lanes = lanes.size();
-
-    std::vector<LaneEngine> states;
-    states.reserve(num_lanes);
-    for (const FusedLane &lane : lanes) {
-        mosaic_assert(lane.mmu && lane.hierarchy,
-                      "fused lane without a machine");
-        states.emplace_back(*lane.mmu, *lane.hierarchy, params_);
-    }
-
-    // Lane-blocked fan-out: decode a block of chunks once, then run
-    // every lane over the whole block before decoding the next. One
-    // lane's hot simulator state (TLB arrays, cache tags, memo slots)
-    // stays host-cache-resident for kFanoutChunks * kChunkRecords
-    // consecutive records instead of being evicted by its siblings
-    // after every record; the block itself is decoded num_lanes times
-    // less often than run() would decode it. The stage/retire kernels
-    // are the same LaneEngine code run() executes, so each lane's
-    // arithmetic is identical to a dedicated sequential run.
-    trace::ReplayBatcher batcher(trace);
-    trace::ReplayBatcher::Block block;
-    while (batcher.nextBlock(block)) {
-        for (LaneEngine &state : states) {
-            for (std::size_t c = 0; c < block.chunks; ++c) {
-                // Per chunk per lane, matching run()'s cadence. A
-                // per-block check was kFanoutChunks * num_lanes
-                // chunks apart: a one-block trace fanned across many
-                // lanes would verify the deadline exactly once,
-                // before any simulation, and an expiry mid-block
-                // could overshoot by the whole block's cold walks.
-                checkDeadline(deadline);
-                SoaRecords src{block.chunk[c]};
-                // Paged lanes (each with its own attached pool state)
-                // skip staging: their translations must see the live
-                // page table, not a memoized snapshot.
-                if (state.mmu.paged()) {
-                    state.retireChunk<true>(src);
-                } else {
-                    state.stageChunk(src);
-                    state.retireChunk<false>(src);
-                }
-            }
-        }
-    }
-
-    std::vector<RunResult> results;
-    results.reserve(num_lanes);
-    for (const LaneEngine &state : states) {
-        results.push_back(readoutCounters(trace, state.retireClock,
-                                          state.mmu,
-                                          state.hierarchy));
     }
     return results;
 }
@@ -629,10 +527,8 @@ CoreModel::runInterleaved(std::span<const TenantLane> lanes,
             if (cursor[t] >= total)
                 continue;
             checkDeadline(deadline);
-            AosRecords src{
-                trace.records().data() + cursor[t],
-                std::min(trace::ReplayBatcher::kChunkRecords,
-                         total - cursor[t])};
+            RecordChunk src{trace.records().data() + cursor[t],
+                            std::min(kChunkRecords, total - cursor[t])};
             states[t].retireChunk<true>(src);
             cursor[t] += src.size();
             any_left = any_left || cursor[t] < total;

@@ -22,16 +22,13 @@ standardL1Tlb()
     return l1;
 }
 
-/** Per-core L1/L2 caches are 32KB/256KB on every modelled part. */
+/** The default L1d/L2 and their latencies (the same on every modelled
+ *  part) under a platform's scaled L3. */
 mem::HierarchyConfig
 baseHierarchy(Bytes l3_scaled, Cycles l3_lat, Cycles dram_lat)
 {
     mem::HierarchyConfig config;
-    config.l1 = {"L1d", 32_KiB, 8, 64};
-    config.l2 = {"L2", 256_KiB, 8, 64};
-    config.l3 = {"L3", l3_scaled, 16, 64};
-    config.latencies.l1 = 4;
-    config.latencies.l2 = 12;
+    config.l3.capacity = l3_scaled;
     config.latencies.l3 = l3_lat;
     config.latencies.dram = dram_lat;
     return config;

@@ -11,11 +11,8 @@ namespace mosaic::cpu
 namespace
 {
 
-/**
- * Per-replay counter totals, published once per finished run — the
- * fused pass publishes the identical set per lane, so campaign
- * dashboards see the same totals whichever engine simulated a cell.
- */
+/** Per-replay counter totals, published once per finished run (and
+ *  once per tenant of an interleaved run). */
 void
 publishReplayCounters(MetricsRegistry &registry,
                       const trace::MemoryTrace &trace,
@@ -148,87 +145,6 @@ simulateRun(const PlatformSpec &platform,
     alloc::Mosalloc allocator(alloc_config);
     System system(platform, allocator, os, context);
     return system.run(trace);
-}
-
-std::vector<Result<RunResult>>
-simulateRunFused(const PlatformSpec &platform,
-                 std::span<const alloc::MosallocConfig> alloc_configs,
-                 const trace::MemoryTrace &trace,
-                 const SimContext &context)
-{
-    return simulateRunFused(platform, alloc_configs, trace,
-                            vm::OsConfig{}, context);
-}
-
-std::vector<Result<RunResult>>
-simulateRunFused(const PlatformSpec &platform,
-                 std::span<const alloc::MosallocConfig> alloc_configs,
-                 const trace::MemoryTrace &trace,
-                 const vm::OsConfig &os, const SimContext &context)
-{
-    MetricsRegistry &registry = context.metrics();
-
-    // Build every lane's machine first, isolating per-lane failures:
-    // a layout whose allocator or System cannot be built (or that
-    // draws an injected sim-lane fault, the hook the fused
-    // fault-isolation tests use) must not keep its siblings from
-    // replaying.
-    std::vector<std::unique_ptr<System>> systems(alloc_configs.size());
-    std::vector<Result<RunResult>> outcomes;
-    outcomes.reserve(alloc_configs.size());
-    std::vector<FusedLane> lanes;
-    lanes.reserve(alloc_configs.size());
-    for (std::size_t i = 0; i < alloc_configs.size(); ++i) {
-        try {
-            if (context.faults().shouldFail(FaultSite::SimLane))
-                throw std::runtime_error("injected sim-lane fault");
-            alloc::Mosalloc allocator(alloc_configs[i]);
-            systems[i] = std::make_unique<System>(platform, allocator,
-                                                  os, context);
-            lanes.push_back({systems[i]->mmu_.get(),
-                             systems[i]->hierarchy_.get()});
-            outcomes.push_back(RunResult{}); // placeholder; filled below
-        } catch (const ResourceError &e) {
-            registry.add("replay/fused_lane_failures");
-            outcomes.push_back(
-                Error(ErrorCategory::Resource,
-                      std::string("fused lane setup failed: ") +
-                          e.what()));
-        } catch (const std::exception &e) {
-            registry.add("replay/fused_lane_failures");
-            outcomes.push_back(
-                Error(ErrorCategory::Internal,
-                      std::string("fused lane setup failed: ") +
-                          e.what()));
-        }
-    }
-
-    if (!lanes.empty()) {
-        // The timed "replay/fused_pass" phase covers exactly the fused
-        // replay, mirroring how "replay/run" covers one sequential
-        // replay: machine construction above and bookkeeping below are
-        // excluded from both, so the two phases compare like for like.
-        CoreModel core(platform.core);
-        ScopedTimer pass_timer(registry, "replay/fused_pass");
-        std::vector<RunResult> results =
-            core.runFused(trace, lanes, context.deadline());
-        pass_timer.stop();
-
-        std::size_t lane = 0;
-        for (std::size_t i = 0; i < alloc_configs.size(); ++i) {
-            if (!systems[i])
-                continue;
-            publishReplayCounters(registry, trace, results[lane]);
-            outcomes[i] = results[lane];
-            ++lane;
-        }
-    }
-
-    registry.add("replay/fused_passes");
-    registry.add("replay/fused_lane_runs", lanes.size());
-    registry.set("replay/fused_layouts",
-                 static_cast<double>(lanes.size()));
-    return outcomes;
 }
 
 std::vector<RunResult>

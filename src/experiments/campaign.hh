@@ -11,11 +11,7 @@
  * registry; shards merge into it — in worker order — when the pool
  * joins. Results land in canonically ordered slots, so the dataset
  * (and the saved CSV) is byte-identical for any worker count. A CSV
- * cache makes the campaign a run-once-per-checkout cost. With
- * CampaignConfig::fused the scheduler hands workers groups of
- * consecutive layouts of one pair, replayed in a single fused pass
- * that decodes the shared trace once (see cpu::simulateRunFused);
- * per-layout counters — and therefore the CSV — are unchanged.
+ * cache makes the campaign a run-once-per-checkout cost.
  *
  * The campaign is fault-tolerant at (platform, workload, layout) cell
  * granularity: a failing cell records a structured error and the
@@ -99,20 +95,6 @@ struct CampaignConfig
     std::size_t checkpointEvery = 1;
 
     /**
-     * Schedule groups of consecutive layouts of one (platform,
-     * workload) pair through a single fused replay pass
-     * (cpu::simulateRunFused) instead of one simulateRun per cell.
-     * Per-layout results are bit-identical either way, so the dataset
-     * CSV is byte-identical with fused on or off, for any jobs count.
-     * Pairs with resumed (cached) cells fall back to per-cell
-     * scheduling, as does any layout whose fused lane fails.
-     */
-    bool fused = false;
-
-    /** Layouts per fused pass when `fused` is set (clamped to >= 1). */
-    unsigned fusedGroupSize = 4;
-
-    /**
      * Shard coordinates for multi-process campaigns ("--shard i/N"):
      * this process simulates only the cells the deterministic
      * round-robin partition (exp::shardOwnsCell over the canonical
@@ -162,11 +144,10 @@ struct CampaignConfig
     sampling::SamplingConfig sampling;
 
     /**
-     * Watchdog budget per cell, in seconds; 0 disables it. A
-     * scheduling unit of k cells gets k times the budget; when the
-     * cooperative deadline expires inside the replay loops, the unit's
-     * cells fail with Timeout errors and the campaign continues — a
-     * hung cell is an isolated failure, never a wedged worker.
+     * Watchdog budget per cell, in seconds; 0 disables it. When the
+     * cooperative deadline expires inside the replay loops, the cell
+     * fails with a Timeout error and the campaign continues — a hung
+     * cell is an isolated failure, never a wedged worker.
      */
     double cellTimeoutSeconds = 0.0;
 };

@@ -29,12 +29,17 @@ struct HierarchyLatencies
     Cycles dram = 220;
 };
 
-/** Geometry + latencies of the whole hierarchy. */
+/**
+ * Geometry + latencies of the whole hierarchy. The defaults are the
+ * per-core L1d/L2 of every modelled part and SandyBridge's L3 scaled
+ * 1/16 (15 MiB -> 1 MiB, like the trace footprints; see DESIGN.md),
+ * which keeps every level's set count a power of two.
+ */
 struct HierarchyConfig
 {
     CacheConfig l1{"L1d", 32_KiB, 8, 64};
     CacheConfig l2{"L2", 256_KiB, 8, 64};
-    CacheConfig l3{"L3", 15_MiB, 16, 64};
+    CacheConfig l3{"L3", 1_MiB, 16, 64};
     HierarchyLatencies latencies;
 
     /** Optional L2 stream prefetcher (off by default). */

@@ -8,9 +8,9 @@
  * (deterministic seeded init), and one representative interval per
  * cluster — the member closest to the centroid, lowest index on ties
  * — is selected for replay with a warmup prefix. Because nothing else
- * feeds the plan, every campaign worker, shard, and fused group
- * derives the identical plan, which is what keeps sampled campaign
- * CSVs byte-deterministic across --jobs/--shard/--fused.
+ * feeds the plan, every campaign worker and shard derives the
+ * identical plan, which is what keeps sampled campaign CSVs
+ * byte-deterministic across --jobs/--shard.
  *
  * The plan is also layout- and platform-independent (signatures read
  * only the trace), so the campaign builds it once per workload during

@@ -87,8 +87,6 @@ ModelRegistry::ModelRegistry(Options options)
             return workloads::makeWorkload(label);
         };
     }
-    if (options_.fusedGroupSize == 0)
-        options_.fusedGroupSize = 1;
 }
 
 const std::vector<std::string> &
@@ -365,7 +363,7 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
                          e.what());
     }
 
-    // Fused replay over the campaign grid, group by group — or, with
+    // Full replay of every layout of the campaign grid — or, with
     // --cold-sampled, interval-sampled replay of one shared plan. The
     // query's cooperative deadline rides in on the context and is
     // checked inside the replay chunk loop, so a timed-out query
@@ -373,78 +371,52 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
     std::vector<exp::RunRecord> records;
     records.reserve(layouts.size());
     try {
-        if (options_.coldSampling.enabled()) {
+        const bool sampled = options_.coldSampling.enabled();
+        sampling::SamplePlan plan;
+        if (sampled) {
             registry.add("serve/cold_sampled");
-            sampling::SamplePlan plan;
-            {
-                ScopedTimer plan_timer(registry,
-                                       "serve/cold_sample_plan");
-                plan = sampling::buildSamplePlan(trace,
-                                                 options_.coldSampling);
-            }
-            for (const auto &named : layouts) {
-                sampling::SampledEstimate estimate;
-                try {
-                    estimate = sampling::simulateSampled(
-                        platform.value(),
-                        workload->makeAllocConfig(named.layout), trace,
-                        plan, /*os=*/{}, context);
-                } catch (const TimeoutError &) {
-                    throw; // outer handler owns timeout accounting
-                } catch (const std::exception &e) {
-                    const bool required =
-                        named.name == exp::layoutAll4k ||
-                        named.name == exp::layoutAll2m;
-                    if (required) {
-                        return Error(
-                            ErrorCategory::Internal,
-                            std::string("sampled cold lane failed: ") +
-                                e.what())
-                            .withContext(
-                                "cold-simulating required reference " +
-                                named.name);
-                    }
-                    registry.add("serve/cold_lane_failures");
-                    continue;
+            ScopedTimer plan_timer(registry, "serve/cold_sample_plan");
+            plan = sampling::buildSamplePlan(trace, options_.coldSampling);
+        }
+        for (const auto &named : layouts) {
+            exp::RunRecord record;
+            record.platform = key.first;
+            record.workload = key.second;
+            record.layout = named.name;
+            try {
+                const alloc::MosallocConfig config =
+                    workload->makeAllocConfig(named.layout);
+                if (sampled) {
+                    sampling::SampledEstimate estimate =
+                        sampling::simulateSampled(platform.value(), config,
+                                                  trace, plan,
+                                                  /*os=*/{}, context);
+                    record.result = estimate.estimate;
+                    record.estErr = estimate.estErr;
+                } else {
+                    record.result = cpu::simulateRun(
+                        platform.value(), config, trace, context);
                 }
-                records.push_back(exp::RunRecord{
-                    key.first, key.second, named.name,
-                    estimate.estimate, estimate.estErr});
-            }
-        } else {
-            for (std::size_t base = 0; base < layouts.size();
-                 base += options_.fusedGroupSize) {
-                const std::size_t count =
-                    std::min<std::size_t>(options_.fusedGroupSize,
-                                          layouts.size() - base);
-                std::vector<alloc::MosallocConfig> configs;
-                configs.reserve(count);
-                for (std::size_t k = 0; k < count; ++k) {
-                    configs.push_back(workload->makeAllocConfig(
-                        layouts[base + k].layout));
+            } catch (const TimeoutError &) {
+                throw; // outer handler owns timeout accounting
+            } catch (const std::exception &e) {
+                const bool required = named.name == exp::layoutAll4k ||
+                                      named.name == exp::layoutAll2m;
+                if (required) {
+                    const ErrorCategory category =
+                        dynamic_cast<const ResourceError *>(&e)
+                            ? ErrorCategory::Resource
+                            : ErrorCategory::Internal;
+                    return Error(category,
+                                 std::string("cold lane failed: ") +
+                                     e.what())
+                        .withContext("cold-simulating required reference " +
+                                     named.name);
                 }
-                auto lanes = cpu::simulateRunFused(platform.value(),
-                                                   configs, trace,
-                                                   context);
-                for (std::size_t k = 0; k < count; ++k) {
-                    const auto &named = layouts[base + k];
-                    if (!lanes[k].ok()) {
-                        const bool required =
-                            named.name == exp::layoutAll4k ||
-                            named.name == exp::layoutAll2m;
-                        if (required) {
-                            return lanes[k].error().withContext(
-                                "cold-simulating required reference " +
-                                named.name);
-                        }
-                        registry.add("serve/cold_lane_failures");
-                        continue;
-                    }
-                    records.push_back(exp::RunRecord{
-                        key.first, key.second, named.name,
-                        std::move(lanes[k]).okOrThrow()});
-                }
+                registry.add("serve/cold_lane_failures");
+                continue;
             }
+            records.push_back(std::move(record));
         }
     } catch (const TimeoutError &e) {
         registry.add("serve/cold_timeouts");

@@ -7,16 +7,15 @@
  * Warm path: the pair's SampleSet is resident (loaded from a campaign
  * CSV at startup or produced by an earlier cold simulation); the
  * requested model is fitted lazily once per (pair, model) and predicts
- * in microseconds. Cold path: the full campaign layout grid is replayed
- * through the fused engine (one decode pass, N layout lanes), bounded
- * by the query's cooperative SimContext deadline; concurrent cold
- * queries for the same pair deduplicate into one simulation
- * (single-flight), with followers waiting — also deadline-bounded — for
- * the leader's result.
+ * in microseconds. Cold path: every layout of the campaign grid is
+ * replayed in turn (cpu::simulateRun), bounded by the query's
+ * cooperative SimContext deadline; concurrent cold queries for the
+ * same pair deduplicate into one simulation (single-flight), with
+ * followers waiting — also deadline-bounded — for the leader's result.
  *
  * With Options::coldSampling enabled (--cold-sampled), the cold path
- * trades the fused full replay for interval-sampled replay: one sample
- * plan is built per trace and every layout replays only the plan's
+ * trades full replay for interval-sampled replay: one sample plan is
+ * built per trace and every layout replays only the plan's
  * representative segments, extrapolating the full-run counters. Cold
  * pairs then become resident in seconds instead of minutes, at the
  * plan's documented error bound.
@@ -77,16 +76,13 @@ class ModelRegistry
         /** Layout-derivation seed; must match the campaign's. */
         std::uint64_t seed = 0x9a4d;
 
-        /** Lanes per fused pass on the cold path. */
-        unsigned fusedGroupSize = 8;
-
         /** Refuse cold simulations (serve only what was loaded). */
         bool allowCold = true;
 
         /**
          * Interval-sampled cold simulations: when enabled, cold pairs
          * replay one plan-selected representative segment set per
-         * layout instead of the full fused grid. The surfaces they
+         * layout instead of the full trace. The surfaces they
          * produce are estimates (within the plan's error bound), not
          * bit-identical to a full campaign.
          */

@@ -11,9 +11,9 @@ namespace mosaic::trace
 namespace
 {
 
-/** The two record sources, presented identically (cf. core.cc's
- *  AosRecords/SoaRecords): extraction arithmetic is shared, so the
- *  materialized and columnar forms cannot drift apart. */
+/** The two record sources, presented identically: extraction
+ *  arithmetic is shared, so the materialized and columnar forms
+ *  cannot drift apart. */
 struct AosSource
 {
     const TraceRecord *recs;

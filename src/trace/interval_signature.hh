@@ -84,8 +84,7 @@ extractIntervalSignatures(const MemoryTrace &trace,
 
 /**
  * As above, over the columnar store's zero-copy spans (@p meta packed
- * as gap | writeBit | dependsBit, the ReplayBatcher/TraceStore
- * layout). Produces bit-identical signatures to the MemoryTrace
+ * as gap | writeBit | dependsBit, the TraceStore layout). Produces bit-identical signatures to the MemoryTrace
  * overload on the same records.
  */
 std::vector<IntervalSignature>

@@ -101,9 +101,7 @@ TraceStore::save(const MemoryTrace &trace, const std::string &path,
     ScopedTimer timer(registry, "trace_store/save");
     registry.add("trace_store/saves");
 
-    // Stage the columns. The meta encoding is exactly what
-    // ReplayBatcher produces, so a future zero-copy replay path can
-    // consume the mapping without re-encoding.
+    // Stage the columns in the packed meta encoding.
     const std::size_t n = trace.size();
     std::vector<VirtAddr> vaddr_col;
     std::vector<std::uint32_t> meta_col;

@@ -8,11 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "cpu/system.hh"
-#include "trace/replay_batch.hh"
 #include "support/random.hh"
 
 using namespace mosaic;
@@ -250,7 +248,7 @@ TEST(CoreModel, DependentChainStillBenefitsFromTlbHits)
 namespace
 {
 
-/** One fused lane's machine, built outside the deadline window. */
+/** A freshly built machine, constructed outside any deadline window. */
 struct LaneMachine
 {
     vm::FramePool phys;
@@ -269,40 +267,25 @@ struct LaneMachine
 
 } // namespace
 
-TEST(CoreModel, FusedDeadlineFiresInsideASingleBlock)
+TEST(CoreModel, DeadlineFiresPartwayThroughARun)
 {
-    // Regression: the fused watchdog used to be checked once per
-    // fan-out block. A trace that fits in one block (<= kFanoutChunks
-    // * kChunkRecords records) fanned across many lanes then verified
-    // the deadline exactly once, before any simulation, so a deadline
-    // expiring mid-block never fired and the run overshot by the whole
-    // block's cold walks times the lane count. The check now runs per
-    // chunk per lane (the bound serve's per-query timeouts rely on).
-    auto trace = randomTrace(32_MiB, 4,
-                             trace::ReplayBatcher::kChunkRecords *
-                                 trace::ReplayBatcher::kFanoutChunks);
+    // The watchdog is checked once per replay chunk (1024 records),
+    // not only before the replay starts, so a deadline that expires
+    // mid-run fires within one chunk. 256 chunks of cold-TLB records
+    // over 32 MiB take far longer than a millisecond to replay.
+    auto trace = randomTrace(32_MiB, 4, 256 * 1024);
     PlatformSpec spec = testPlatform();
     alloc::Mosalloc allocator(poolConfig(32_MiB));
-
-    constexpr std::size_t numLanes = 64;
-    std::vector<std::unique_ptr<LaneMachine>> machines;
-    std::vector<FusedLane> lanes;
-    for (std::size_t i = 0; i < numLanes; ++i) {
-        machines.push_back(
-            std::make_unique<LaneMachine>(spec, allocator));
-        lanes.push_back(
-            {&machines.back()->mmu, &machines.back()->hierarchy});
-    }
+    LaneMachine machine(spec, allocator);
 
     // The deadline starts ticking only here, after machine
-    // construction, so the window covers replay alone: 64 lanes x
-    // 8192 cold-TLB records take orders of magnitude longer than a
-    // millisecond, while the first per-chunk check happens within
-    // microseconds of entering the block.
+    // construction, so the window covers replay alone.
     CoreModel core(spec.core);
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(1);
-    EXPECT_THROW(core.runFused(trace, lanes, deadline), TimeoutError);
+    EXPECT_THROW(core.run(trace, machine.mmu, machine.hierarchy,
+                          deadline),
+                 TimeoutError);
 }
 
 TEST(CoreModel, ExpiredDeadlineThrowsBeforeSimulating)
@@ -317,6 +300,4 @@ TEST(CoreModel, ExpiredDeadlineThrowsBeforeSimulating)
     EXPECT_THROW(core.run(trace, machine.mmu, machine.hierarchy,
                           expired),
                  TimeoutError);
-    std::vector<FusedLane> lanes{{&machine.mmu, &machine.hierarchy}};
-    EXPECT_THROW(core.runFused(trace, lanes, expired), TimeoutError);
 }

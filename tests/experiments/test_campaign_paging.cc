@@ -3,8 +3,8 @@
  * Campaign tests for the OS layer: the swap (S) column in the dataset
  * CSV, bounded-pool campaigns, resource-exhaustion cell isolation,
  * co-workload interference cells (shared-pool multi-tenancy), the
- * jobs/fused determinism guarantee under paging, and the resume-cache
- * format guard.
+ * jobs determinism guarantee under paging, and the resume-cache format
+ * guard.
  */
 
 #include <gtest/gtest.h>
@@ -248,7 +248,7 @@ TEST(CampaignPaging, InterferenceSlowsThePrimaryTenant)
     EXPECT_GT(tenant_swap, alone_swap);
 }
 
-TEST(CampaignPaging, MultiTenantDeterministicAcrossJobsAndFused)
+TEST(CampaignPaging, MultiTenantDeterministicAcrossJobs)
 {
     CampaignConfig config = pagingConfig();
     config.os = boundedOs();
@@ -264,19 +264,12 @@ TEST(CampaignPaging, MultiTenantDeterministicAcrossJobsAndFused)
     CampaignReport parallel = CampaignRunner(config).runReport();
     ASSERT_TRUE(parallel.allOk()) << parallel.summary();
     EXPECT_EQ(parallel.dataset.toCsv(), golden) << "jobs=4 diverged";
-
-    // Fused scheduling is ignored for tenant cells (each cell owns a
-    // shared pool); the CSV must still be byte-identical.
-    config.fused = true;
-    CampaignReport fused = CampaignRunner(config).runReport();
-    ASSERT_TRUE(fused.allOk()) << fused.summary();
-    EXPECT_EQ(fused.dataset.toCsv(), golden) << "fused diverged";
 }
 
-TEST(CampaignPaging, PagedCampaignDeterministicAcrossJobsAndFused)
+TEST(CampaignPaging, PagedCampaignDeterministicAcrossJobs)
 {
     // Single-tenant bounded paging: same determinism contract as the
-    // classic campaign, across both scheduler shapes.
+    // classic campaign, for any jobs count.
     CampaignConfig config = pagingConfig();
     config.os = boundedOs(512);
     config.include1g = false;
@@ -286,7 +279,6 @@ TEST(CampaignPaging, PagedCampaignDeterministicAcrossJobsAndFused)
     const std::string golden = first.dataset.toCsv();
 
     config.jobs = 4;
-    config.fused = true;
     CampaignReport second = CampaignRunner(config).runReport();
     ASSERT_TRUE(second.allOk()) << second.summary();
     EXPECT_EQ(second.dataset.toCsv(), golden);

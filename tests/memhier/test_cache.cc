@@ -107,6 +107,15 @@ TEST(Cache, RejectsBadGeometry)
                  std::logic_error);
 }
 
+TEST(Hierarchy, DefaultConfigConstructs)
+{
+    // Every default level must have a power-of-two set count.
+    MemoryHierarchy hierarchy{HierarchyConfig{}};
+    EXPECT_EQ(hierarchy.l3().config().capacity, 1_MiB);
+    auto first = hierarchy.access(0x100000, Requester::Program);
+    EXPECT_EQ(first.servedBy, ServedBy::Dram);
+}
+
 TEST(Hierarchy, LatencyPerLevel)
 {
     HierarchyConfig config;

@@ -2,7 +2,7 @@
  * @file
  * Tests for the serve ModelRegistry: warm predictions from a loaded
  * campaign dataset, structured rejection of unknown names, and the
- * cold path — on-demand fused simulation, the interval-sampled cold
+ * cold path — on-demand simulation, the interval-sampled cold
  * variant, single-flight dedup, deadline timeouts, and trace-store
  * reuse.
  */
@@ -213,7 +213,7 @@ TEST(ServeRegistry, ColdPathSimulatesCachesAndMatchesTheCampaign)
     EXPECT_TRUE(registry.isResident("SandyBridge", "test/tiny"));
 
     // The cold surface is the campaign surface: same layouts, same
-    // seed, same fused engine — the measured runtime of grow-3 must
+    // seed, same replay engine — the measured runtime of grow-3 must
     // be bit-identical to the dataset the campaign runner produced.
     const auto &row =
         sharedDataset().findRun("SandyBridge", "test/tiny", "grow-3");

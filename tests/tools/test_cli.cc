@@ -208,7 +208,7 @@ TEST(CliNumeric, OptionHelpersUseFallback)
     auto jobs = unsignedOption(args, "jobs", 1, 1, 4096);
     ASSERT_TRUE(jobs.ok());
     EXPECT_EQ(jobs.value(), 12u);
-    auto missing = unsignedOption(args, "fused-group", 4, 1, 64);
+    auto missing = unsignedOption(args, "checkpoint-every", 4, 1, 64);
     ASSERT_TRUE(missing.ok());
     EXPECT_EQ(missing.value(), 4u);
     auto timeout = doubleOption(args, "cell-timeout", 0.0, 0.0);

@@ -115,14 +115,13 @@ TEST(Mmu, StagedAndFullTranslationsAgreeWhenInterleaved)
     // Regression test for the staged-translation memo aliasing hazard:
     // the replay kernel stages peekTranslate() results a chunk ahead of
     // the retire loop, so a staged {physAddr, pageSize} can be consumed
-    // at a different `now` — and, in the fused engine, interleaved with
-    // other lanes' full translate() calls that advance time at
-    // different rates and recycle the same memo slots. Two MMUs over
-    // one page table replay the same access stream, one through
-    // translate(), one through peek-then-translateStaged with a
-    // deliberately stale staging distance and a second stream hammering
-    // aliasing granules in between; every event and every counter must
-    // be bit-identical.
+    // at a different `now` — and interleaved with other full
+    // translate() calls that advance time and recycle the same memo
+    // slots. Two MMUs over one page table replay the same access
+    // stream, one through translate(), one through
+    // peek-then-translateStaged with a deliberately stale staging
+    // distance and a second stream hammering aliasing granules in
+    // between; every event and every counter must be bit-identical.
     MmuFixture plain, staged;
     // Map both fixtures' tables identically: mixed 4K/2M pages so the
     // staged path carries both page sizes.

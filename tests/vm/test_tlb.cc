@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "vm/tlb.hh"
 
 using namespace mosaic;
@@ -235,6 +237,18 @@ struct TlbShape
     std::uint32_t expectWays;
     std::uint32_t expectSets;
 };
+
+/**
+ * Print a shape as its label. The discovered test names embed the
+ * printed parameter, and gtest's default printer dumps the struct's
+ * bytes -- the label pointer among them, which moves with every load
+ * address.
+ */
+void
+PrintTo(const TlbShape &shape, std::ostream *os)
+{
+    *os << shape.label;
+}
 
 } // namespace
 

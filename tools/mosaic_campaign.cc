@@ -36,7 +36,6 @@ constexpr const char *usageText =
     "                       [--jobs N] [--no-1gb] [--out FILE]\n"
     "                       [--resume] [--trace-cache DIR]\n"
     "                       [--checkpoint-every N] [--max-retries N]\n"
-    "                       [--fused] [--fused-group N]\n"
     "                       [--shard I/N] [--cell-timeout SECONDS]\n"
     "                       [--mem-frames N] [--replacement POLICY]\n"
     "                       [--swap-cost CYCLES]\n"
@@ -51,10 +50,6 @@ constexpr const char *usageText =
     "          checkpoint every pair\n"
     "--jobs picks the worker-thread count; the dataset CSV is\n"
     "byte-identical for any value (--threads is a deprecated alias).\n"
-    "--fused replays groups of layouts of one (platform, workload)\n"
-    "pair through a single shared-trace pass (--fused-group layouts\n"
-    "per pass, default 4); per-layout results are bit-identical, so\n"
-    "the CSV is byte-identical with or without it.\n"
     "--resume keeps cells already present in --out instead of\n"
     "recomputing them; without it the output is rebuilt from scratch.\n"
     "--shard I/N runs only the cells the deterministic round-robin\n"
@@ -83,8 +78,8 @@ constexpr const char *usageText =
     "(default 16384), --sample-clusters the cluster count K (default\n"
     "8), --sample-warmup the per-segment warmup prefix in records\n"
     "(default 4096). The sampled CSV is byte-identical for any\n"
-    "--jobs/--shard/--fused combination; --sample-mode off (the\n"
-    "default) is byte-identical to a classic full-replay run.\n"
+    "--jobs/--shard combination; --sample-mode off (the default) is\n"
+    "byte-identical to a classic full-replay run.\n"
     "Incompatible with --co-workload.\n"
     "--metrics-out writes a JSON run manifest (config, per-phase\n"
     "timings, trace-cache/retry counters, failures) after the run.\n";
@@ -139,15 +134,6 @@ campaignMain(int argc, char **argv)
                     cli::parseUnsignedValue(
                         "max-retries", args.get("max-retries"), 0,
                         100)));
-    if (args.has("fused"))
-        config.fused = true;
-    if (args.has("fused-group")) {
-        config.fused = true;
-        config.fusedGroupSize = static_cast<unsigned>(cli::unwrapOrDie(
-            "mosaic_campaign",
-            cli::parseUnsignedValue("fused-group",
-                                    args.get("fused-group"), 1, 64)));
-    }
     if (args.has("shard")) {
         const std::string spec = args.get("shard");
         auto slash = spec.find('/');
@@ -276,10 +262,6 @@ campaignMain(int argc, char **argv)
     manifest.setConfig("checkpoint_every",
                        static_cast<std::uint64_t>(
                            effective.checkpointEvery));
-    manifest.setConfig("fused", effective.fused);
-    manifest.setConfig("fused_group",
-                       static_cast<std::uint64_t>(
-                           effective.fusedGroupSize));
     manifest.setConfig("shard_index",
                        static_cast<std::uint64_t>(
                            effective.shardIndex));

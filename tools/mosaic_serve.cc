@@ -6,7 +6,7 @@
  * line-oriented protocol on a loopback TCP port or a Unix-domain
  * socket. Warm (platform, workload) pairs answer from the fitted
  * model in microseconds; unknown pairs fall back to an on-demand
- * fused simulation whose result is cached for every later query.
+ * simulation whose result is cached for every later query.
  *
  * SIGTERM/SIGINT drain in-flight queries, fold per-worker metric
  * shards, optionally write the --metrics-out manifest, and exit 0.
@@ -59,7 +59,7 @@ const char *kUsage =
     "                     was loaded)\n"
     "  --cold-sampled     answer cold pairs with interval-sampled\n"
     "                     replay (one representative segment set per\n"
-    "                     trace) instead of the full fused grid —\n"
+    "                     trace) instead of full replay —\n"
     "                     seconds instead of minutes per pair, at the\n"
     "                     sample plan's documented error bound\n"
     "  --sample-interval N  sampled-cold interval length in records\n"
@@ -133,6 +133,13 @@ main(int argc, char **argv)
                               86400.0));
         options.seed = registry.options().seed;
 
+        // Handlers go in before the socket opens: a stop request that
+        // arrives right after the listening line must drain, not kill.
+        struct sigaction action = {};
+        action.sa_handler = onSignal;
+        ::sigaction(SIGTERM, &action, nullptr);
+        ::sigaction(SIGINT, &action, nullptr);
+
         serve::Server server(registry, options);
         auto started = server.start();
         if (!started.ok()) {
@@ -148,11 +155,6 @@ main(int argc, char **argv)
                     server.endpoint().c_str(), loadedPairs,
                     options.workers);
         std::fflush(stdout);
-
-        struct sigaction action = {};
-        action.sa_handler = onSignal;
-        ::sigaction(SIGTERM, &action, nullptr);
-        ::sigaction(SIGINT, &action, nullptr);
 
         while (!g_stop) {
             struct timespec nap = {0, 100 * 1000 * 1000};
