@@ -45,6 +45,16 @@ traceCacheStem(const std::string &label)
     return out + hash;
 }
 
+/** The interference partner of a co-workload campaign, prepared once:
+ *  its trace and its fixed all-4KB baseline layout are shared by every
+ *  cell (the exploration variable is the primary tenant's layout). */
+struct CoTenant
+{
+    std::unique_ptr<workloads::Workload> workload;
+    std::shared_ptr<const trace::MemoryTrace> trace;
+    alloc::MosallocConfig config;
+};
+
 namespace
 {
 
@@ -183,92 +193,6 @@ makeConfiguredWorkload(const CampaignConfig &config,
     return workloads::makeWorkload(label);
 }
 
-/** The interference partner of a multi-tenant campaign, prepared once:
- *  its trace and its fixed all-4KB baseline layout are shared by every
- *  cell (the exploration variable is the primary tenant's layout). */
-struct CoTenant
-{
-    std::unique_ptr<workloads::Workload> workload;
-    std::shared_ptr<const trace::MemoryTrace> trace;
-    alloc::MosallocConfig config;
-};
-
-Result<CoTenant>
-prepareCoTenant(const CampaignConfig &config, std::size_t &retries,
-                const SimContext &context)
-{
-    CoTenant co;
-    try {
-        co.workload = makeConfiguredWorkload(config, config.coWorkload);
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Config,
-                     std::string("co-workload construction failed: ") +
-                         e.what())
-            .withContext("co-workload " + config.coWorkload);
-    }
-    auto trace_result =
-        obtainTrace(*co.workload, config, retries, context);
-    if (!trace_result.ok()) {
-        return trace_result.error().withContext("co-workload " +
-                                                config.coWorkload);
-    }
-    co.trace = std::make_shared<const trace::MemoryTrace>(
-        std::move(trace_result).okOrThrow());
-    try {
-        auto baseline = layouts::uniformLayout(
-            co.workload->primaryPoolSize(), alloc::PageSize::Page4K);
-        co.config = co.workload->makeAllocConfig(baseline.layout);
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Config,
-                     std::string("co-workload baseline layout "
-                                 "failed: ") +
-                         e.what())
-            .withContext("co-workload " + config.coWorkload);
-    }
-    return co;
-}
-
-/**
- * Simulate one cell's replay: single-tenant on the sequential engine
- * (with OS-level paging when configured), or — when a co-tenant is
- * present — the primary layout interleaved against the co-workload's
- * baseline over one shared bounded pool. The recorded result is always
- * the primary tenant's readout.
- */
-cpu::RunResult
-simulateCellResult(const cpu::PlatformSpec &platform,
-                   const workloads::Workload &workload,
-                   const layouts::NamedLayout &named,
-                   const trace::MemoryTrace &trace,
-                   const CampaignConfig &config, const CoTenant *co,
-                   const sampling::SamplePlan *plan, double *est_err,
-                   const SimContext &context)
-{
-    if (plan) {
-        // Sampled cell: partial replay of the plan's segments,
-        // extrapolated back to full-run counters. The plan is shared
-        // across all cells of the workload; sampling is pre-validated
-        // to be single-tenant, so `co` is never set here.
-        auto estimate = sampling::simulateSampled(
-            platform, workload.makeAllocConfig(named.layout), trace,
-            *plan, config.os, context);
-        if (est_err)
-            *est_err = estimate.estErr;
-        return estimate.estimate;
-    }
-    if (!co) {
-        return cpu::simulateRun(platform,
-                                workload.makeAllocConfig(named.layout),
-                                trace, config.os, context);
-    }
-    const std::array<alloc::MosallocConfig, 2> configs = {
-        workload.makeAllocConfig(named.layout), co->config};
-    const std::array<const trace::MemoryTrace *, 2> traces = {
-        &trace, co->trace.get()};
-    return cpu::simulateRunTenants(platform, configs, traces, config.os,
-                                   context)[0];
-}
-
 /** Build the workload's sampling plan (layout/platform-independent;
  *  one per workload). Construction failures are structured Internal
  *  errors that fail the pair, matching the layout builder. */
@@ -293,7 +217,199 @@ buildWorkloadSamplePlan(const trace::MemoryTrace &trace,
     }
 }
 
+/**
+ * One cell's replay: sampled (the plan's segments, extrapolated back
+ * to full-run counters), single-tenant on the sequential engine, or —
+ * when a co-tenant is present — the primary layout interleaved against
+ * the co-workload's baseline over one shared bounded pool. The result
+ * is always the primary tenant's readout.
+ */
+cpu::RunResult
+replayCell(const cpu::PlatformSpec &platform,
+           const PreparedWorkload &prepared,
+           const layouts::NamedLayout &named,
+           const CampaignConfig &config, double *est_err,
+           const SimContext &context)
+{
+    const alloc::MosallocConfig primary =
+        prepared.workload->makeAllocConfig(named.layout);
+    if (prepared.plan) {
+        // checkCampaignConfig keeps sampling single-tenant.
+        auto estimate = sampling::simulateSampled(
+            platform, primary, *prepared.trace, *prepared.plan,
+            config.os, context);
+        *est_err = estimate.estErr;
+        return estimate.estimate;
+    }
+    if (!prepared.co) {
+        return cpu::simulateRun(platform, primary, *prepared.trace,
+                                config.os, context);
+    }
+    const std::array<alloc::MosallocConfig, 2> configs = {
+        primary, prepared.co->config};
+    const std::array<const trace::MemoryTrace *, 2> traces = {
+        prepared.trace.get(), prepared.co->trace.get()};
+    return cpu::simulateRunTenants(platform, configs, traces, config.os,
+                                   context)[0];
+}
+
+/** Prepare config.coWorkload once: its trace and fixed all-4KB
+ *  baseline layout are inputs to every cell of every workload.
+ *  Construction failures are Config errors; trace failures keep their
+ *  category. */
+Result<std::shared_ptr<const CoTenant>>
+prepareCoTenant(const CampaignConfig &config, std::size_t &retries,
+                const SimContext &context)
+{
+    auto co = std::make_shared<CoTenant>();
+    try {
+        co->workload = makeConfiguredWorkload(config, config.coWorkload);
+    } catch (const std::exception &e) {
+        return Error(ErrorCategory::Config,
+                     std::string("co-workload construction failed: ") +
+                         e.what())
+            .withContext("co-workload " + config.coWorkload);
+    }
+    auto trace_result =
+        obtainTrace(*co->workload, config, retries, context);
+    if (!trace_result.ok()) {
+        return trace_result.error().withContext("co-workload " +
+                                                config.coWorkload);
+    }
+    co->trace = std::make_shared<const trace::MemoryTrace>(
+        std::move(trace_result).okOrThrow());
+    try {
+        auto baseline = layouts::uniformLayout(
+            co->workload->primaryPoolSize(), alloc::PageSize::Page4K);
+        co->config = co->workload->makeAllocConfig(baseline.layout);
+    } catch (const std::exception &e) {
+        return Error(ErrorCategory::Config,
+                     std::string("co-workload baseline layout "
+                                 "failed: ") +
+                         e.what())
+            .withContext("co-workload " + config.coWorkload);
+    }
+    return std::shared_ptr<const CoTenant>(std::move(co));
+}
+
 } // namespace
+
+Result<void>
+checkCampaignConfig(const CampaignConfig &config)
+{
+    if (config.coWorkload.empty())
+        return {};
+    if (config.sampling.enabled()) {
+        return configError("sampled replay is incompatible with "
+                           "co-workload interference");
+    }
+    if (!config.os.paged()) {
+        return configError("co-workload interference requires a "
+                           "bounded frame pool (--mem-frames > 0)");
+    }
+    if (config.shardCount > 1)
+        return configError("co-workload campaigns cannot be sharded");
+    return {};
+}
+
+Result<PreparedWorkload>
+prepareWorkload(const workloads::Workload &workload,
+                const CampaignConfig &config, std::size_t &retries,
+                const SimContext &context,
+                std::shared_ptr<const trace::MemoryTrace> trace,
+                std::shared_ptr<const CoTenant> co)
+{
+    PreparedWorkload prepared;
+    prepared.workload = &workload;
+    prepared.trace = std::move(trace);
+    if (!prepared.trace) {
+        auto obtained = obtainTrace(workload, config, retries, context);
+        if (!obtained.ok())
+            return obtained.error();
+        prepared.trace = std::make_shared<const trace::MemoryTrace>(
+            std::move(obtained).okOrThrow());
+    }
+    prepared.co = std::move(co);
+    if (!prepared.co && !config.coWorkload.empty()) {
+        auto made = prepareCoTenant(config, retries, context);
+        if (!made.ok())
+            return made.error();
+        prepared.co = std::move(made).okOrThrow();
+    }
+    auto layouts_result =
+        buildCampaignLayouts(workload, *prepared.trace, config);
+    if (!layouts_result.ok())
+        return layouts_result.error();
+    prepared.layouts = std::move(layouts_result).okOrThrow();
+    if (config.sampling.enabled()) {
+        auto plan = buildWorkloadSamplePlan(*prepared.trace, config,
+                                            context);
+        if (!plan.ok())
+            return plan.error();
+        prepared.plan = std::make_shared<const sampling::SamplePlan>(
+            std::move(plan).okOrThrow());
+    }
+    return prepared;
+}
+
+CellOutcome
+simulateCellResult(const cpu::PlatformSpec &platform,
+                   const PreparedWorkload &prepared,
+                   const layouts::NamedLayout &named,
+                   const CampaignConfig &config,
+                   const SimContext &context)
+{
+    // Each cell gets one budget; the cooperative deadline is checked
+    // inside the replay loops (per chunk), so an expired budget
+    // surfaces below as TimeoutError. A caller's earlier deadline (a
+    // serve query's) still wins.
+    SimContext cell_context = context;
+    if (config.cellTimeoutSeconds > 0.0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() +
+            std::chrono::duration_cast<
+                std::chrono::steady_clock::duration>(
+                std::chrono::duration<double>(config.cellTimeoutSeconds));
+        if (!context.hasDeadline() || deadline < context.deadline())
+            cell_context = context.withDeadline(deadline);
+    }
+
+    MetricsRegistry &registry = context.metrics();
+    const std::string label = prepared.workload->info().label();
+    CellOutcome outcome;
+    ScopedTimer cell_timer(registry, "campaign/cell");
+    try {
+        RunRecord record;
+        record.platform = platform.name;
+        record.workload = label;
+        record.layout = named.name;
+        record.result = replayCell(platform, prepared, named, config,
+                                   &record.estErr, cell_context);
+        outcome.record = std::move(record);
+        return outcome;
+    } catch (const ResourceError &e) {
+        // The frame budget cannot hold the cell's pages: an isolated,
+        // structured Resource failure — the pool exhaustion analog of
+        // a timeout.
+        outcome.failure = CellFailure{platform.name, label, named.name,
+                                      Error(ErrorCategory::Resource,
+                                            e.what())};
+    } catch (const TimeoutError &e) {
+        // The watchdog fired: a hung cell is an isolated Timeout
+        // failure, not a wedged worker.
+        registry.add("campaign/cells_timed_out");
+        outcome.failure = CellFailure{platform.name, label, named.name,
+                                      timeoutError(e.what())};
+    } catch (const std::exception &e) {
+        // One bad cell must not take down the pair: record it and keep
+        // simulating the remaining layouts.
+        outcome.failure = CellFailure{platform.name, label, named.name,
+                                      Error(ErrorCategory::Internal,
+                                            e.what())};
+    }
+    registry.add("campaign/cells_failed");
+    return outcome;
+}
 
 std::string
 CampaignReport::summary() const
@@ -342,97 +458,36 @@ CampaignRunner::runPair(const workloads::Workload &workload,
                         const std::set<std::string> *done_layouts,
                         std::size_t *retries, const SimContext &context)
 {
-    const std::string label = workload.info().label();
-    std::vector<CellFailure> failures;
     if (config.os.paged())
         dataset.setSwapColumn(true);
-    if (config.sampling.enabled()) {
+    if (config.sampling.enabled())
         dataset.setEstErrColumn(true);
-        if (!config.coWorkload.empty()) {
-            failures.push_back(
-                {platform.name, label, "*",
-                 configError("sampled replay is incompatible with "
-                             "co-workload interference")});
-            return failures;
-        }
-    }
+    auto pairFailure = [&](Error error) {
+        return std::vector<CellFailure>{{platform.name,
+                                         workload.info().label(), "*",
+                                         std::move(error)}};
+    };
+    if (auto checked = checkCampaignConfig(config); !checked.ok())
+        return pairFailure(checked.error());
 
-    // The trace and the miss profile are layout-independent.
-    std::size_t trace_retries = 0;
-    auto trace_result =
-        obtainTrace(workload, config, trace_retries, context);
+    std::size_t prep_retries = 0;
+    auto prepared =
+        prepareWorkload(workload, config, prep_retries, context);
     if (retries)
-        *retries += trace_retries;
-    if (!trace_result.ok()) {
-        failures.push_back({platform.name, label, "*",
-                            trace_result.error()});
-        return failures;
-    }
-    const trace::MemoryTrace &trace = trace_result.value();
+        *retries += prep_retries;
+    if (!prepared.ok())
+        return pairFailure(prepared.error());
 
-    std::optional<CoTenant> co_tenant;
-    if (!config.coWorkload.empty()) {
-        std::size_t co_retries = 0;
-        auto prepared = prepareCoTenant(config, co_retries, context);
-        if (retries)
-            *retries += co_retries;
-        if (!prepared.ok()) {
-            failures.push_back(
-                {platform.name, label, "*", prepared.error()});
-            return failures;
-        }
-        co_tenant = std::move(prepared).okOrThrow();
-    }
-
-    auto layouts_result = buildCampaignLayouts(workload, trace, config);
-    if (!layouts_result.ok()) {
-        failures.push_back(
-            {platform.name, label, "*", layouts_result.error()});
-        return failures;
-    }
-    const auto &layouts = layouts_result.value();
-
-    std::optional<sampling::SamplePlan> plan;
-    if (config.sampling.enabled()) {
-        auto plan_result =
-            buildWorkloadSamplePlan(trace, config, context);
-        if (!plan_result.ok()) {
-            failures.push_back(
-                {platform.name, label, "*", plan_result.error()});
-            return failures;
-        }
-        plan = std::move(plan_result).okOrThrow();
-    }
-
-    for (const auto &named : layouts) {
+    std::vector<CellFailure> failures;
+    for (const auto &named : prepared.value().layouts) {
         if (done_layouts && done_layouts->count(named.name))
             continue;
-        ScopedTimer cell_timer(context.metrics(), "campaign/cell");
-        try {
-            RunRecord record;
-            record.platform = platform.name;
-            record.workload = label;
-            record.layout = named.name;
-            record.result = simulateCellResult(
-                platform, workload, named, trace, config,
-                co_tenant ? &*co_tenant : nullptr,
-                plan ? &*plan : nullptr, &record.estErr, context);
-            dataset.add(std::move(record));
-        } catch (const ResourceError &e) {
-            // A layout whose pages cannot even fit the frame budget is
-            // an isolated, structured Resource failure.
-            context.metrics().add("campaign/cells_failed");
-            failures.push_back(
-                {platform.name, label, named.name,
-                 Error(ErrorCategory::Resource, e.what())});
-        } catch (const std::exception &e) {
-            // One bad cell must not take down the pair: record it and
-            // keep simulating the remaining layouts.
-            context.metrics().add("campaign/cells_failed");
-            failures.push_back(
-                {platform.name, label, named.name,
-                 Error(ErrorCategory::Internal, e.what())});
-        }
+        CellOutcome cell = simulateCellResult(platform, prepared.value(),
+                                              named, config, context);
+        if (cell.record)
+            dataset.add(std::move(*cell.record));
+        else
+            failures.push_back(std::move(*cell.failure));
     }
     return failures;
 }
@@ -448,36 +503,10 @@ CampaignRunner::runImpl(const std::string *cache_path)
     if (sampled)
         report.dataset.setEstErrColumn(true);
 
-    // Sampled replay is single-tenant: the interleaved tenant engine
-    // replays whole traces, and a partial interleave would change the
-    // contention the primary tenant sees.
-    if (sampled && !config_.coWorkload.empty()) {
+    if (auto checked = checkCampaignConfig(config_); !checked.ok()) {
         report.failures.push_back(
-            {"*", config_.coWorkload, "*",
-             configError("sampled replay is incompatible with "
-                         "co-workload interference")});
+            {"*", config_.coWorkload, "*", checked.error()});
         return report;
-    }
-
-    // Multi-tenant invariants are config errors, not crashes: the
-    // interleave needs a bounded shared pool, and the shard partition
-    // hash does not cover co-tenancy (two shards with different
-    // co-workloads would merge into a nonsense dataset).
-    if (!config_.coWorkload.empty()) {
-        if (!config_.os.paged()) {
-            report.failures.push_back(
-                {"*", config_.coWorkload, "*",
-                 configError("co-workload interference requires a "
-                             "bounded frame pool (--mem-frames > 0)")});
-            return report;
-        }
-        if (config_.shardCount > 1) {
-            report.failures.push_back(
-                {"*", config_.coWorkload, "*",
-                 configError("co-workload campaigns cannot be "
-                             "sharded")});
-            return report;
-        }
     }
 
     using Key = std::pair<std::string, std::string>;
@@ -563,7 +592,7 @@ CampaignRunner::runImpl(const std::string *cache_path)
     // and baseline layout are inputs to *every* cell, so a co-workload
     // that cannot be built fails the campaign as a whole (one
     // structured Config/Io failure), not cell by cell.
-    std::optional<CoTenant> co_tenant;
+    std::shared_ptr<const CoTenant> co_tenant;
     if (!config_.coWorkload.empty()) {
         std::size_t co_retries = 0;
         auto prepared =
@@ -581,19 +610,12 @@ CampaignRunner::runImpl(const std::string *cache_path)
     // grid order. The pair/cell orders fixed here define the canonical
     // result order, independent of how workers interleave. ----
 
-    /** Shared immutable inputs of one workload's cells, prepared once
-     *  (trace + layouts are platform-independent). */
+    /** One distinct workload of the grid and its prepared cells. */
     struct WorkloadState
     {
         std::string label;
         std::unique_ptr<workloads::Workload> workload;
-        std::shared_ptr<const trace::MemoryTrace> trace;
-        std::vector<layouts::NamedLayout> layouts;
-
-        /** Sampled campaigns: the workload's replay plan, shared by
-         *  every cell (layout- and platform-independent). */
-        std::shared_ptr<const sampling::SamplePlan> plan;
-
+        PreparedWorkload prep;
         std::size_t retries = 0;
         std::optional<Error> error;
     };
@@ -652,8 +674,7 @@ CampaignRunner::runImpl(const std::string *cache_path)
             auto [state_it, inserted] =
                 state_index.try_emplace(label, states.size());
             if (inserted)
-                states.push_back(
-                    {label, nullptr, nullptr, {}, nullptr, 0, {}});
+                states.push_back({label, nullptr, {}, 0, {}});
             pairs.push_back(
                 {state_it->second, &platform, done, 0, ordinal});
         }
@@ -668,7 +689,7 @@ CampaignRunner::runImpl(const std::string *cache_path)
             thread.join();
     };
 
-    // ---- Phase 1: prepare workloads (factory + trace + layouts) in
+    // ---- Phase 1: prepare workloads (factory + prepareWorkload) in
     // parallel. Each worker publishes into a private shard. ----
     const unsigned prep_jobs = std::min<unsigned>(
         jobs, std::max<std::size_t>(states.size(), 1));
@@ -690,32 +711,14 @@ CampaignRunner::runImpl(const std::string *cache_path)
                 state.error = Error(ErrorCategory::Config, e.what());
                 continue;
             }
-            auto trace_result = obtainTrace(*state.workload, config_,
-                                            state.retries, context);
-            if (!trace_result.ok()) {
-                state.error = trace_result.error();
+            auto prepared =
+                prepareWorkload(*state.workload, config_, state.retries,
+                                context, nullptr, co_tenant);
+            if (!prepared.ok()) {
+                state.error = prepared.error();
                 continue;
             }
-            auto layouts_result = buildCampaignLayouts(
-                *state.workload, trace_result.value(), config_);
-            if (!layouts_result.ok()) {
-                state.error = layouts_result.error();
-                continue;
-            }
-            state.layouts = std::move(layouts_result).okOrThrow();
-            state.trace = std::make_shared<trace::MemoryTrace>(
-                std::move(trace_result).okOrThrow());
-            if (sampled) {
-                auto plan_result = buildWorkloadSamplePlan(
-                    *state.trace, config_, context);
-                if (!plan_result.ok()) {
-                    state.error = plan_result.error();
-                    continue;
-                }
-                state.plan =
-                    std::make_shared<const sampling::SamplePlan>(
-                        std::move(plan_result).okOrThrow());
-            }
+            state.prep = std::move(prepared).okOrThrow();
         }
     });
 
@@ -729,23 +732,16 @@ CampaignRunner::runImpl(const std::string *cache_path)
         std::size_t layout;
     };
 
-    /** Exactly one of record/failure is set once the cell ran. */
-    struct CellOutcome
-    {
-        std::optional<RunRecord> record;
-        std::optional<CellFailure> failure;
-    };
-
     std::vector<Cell> cells;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
         PairTask &pair = pairs[p];
         const WorkloadState &state = states[pair.state];
         if (state.error)
             continue; // whole pair failed in prep; reported below
-        for (std::size_t li = 0; li < state.layouts.size(); ++li) {
+        for (std::size_t li = 0; li < state.prep.layouts.size(); ++li) {
             if (!ownsCell(pair, li))
                 continue; // another shard's cell
-            if (pair.done && pair.done->count(state.layouts[li].name))
+            if (pair.done && pair.done->count(state.prep.layouts[li].name))
                 continue;
             cells.push_back({p, li});
             ++pair.cellsRemaining;
@@ -822,13 +818,13 @@ CampaignRunner::runImpl(const std::string *cache_path)
         std::vector<ShardPairOrder> order;
         for (const auto &pair : pairs) {
             const WorkloadState &state = states[pair.state];
-            if (state.error || state.layouts.empty())
+            if (state.error || state.prep.layouts.empty())
                 continue;
             ShardPairOrder entry;
             entry.platform = pair.platform->name;
             entry.workload = state.label;
-            for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-                entry.layouts.push_back(state.layouts[li].name);
+            for (std::size_t li = 0; li < state.prep.layouts.size(); ++li) {
+                entry.layouts.push_back(state.prep.layouts[li].name);
                 entry.owned.push_back(ownsCell(pair, li));
             }
             order.push_back(std::move(entry));
@@ -894,9 +890,8 @@ CampaignRunner::runImpl(const std::string *cache_path)
         jobs, std::max<std::size_t>(cells.size(), 1));
     std::vector<MetricsRegistry> cell_shards(cell_jobs);
     runPool(cell_jobs, [&](unsigned worker) {
-        MetricsRegistry &shard = cell_shards[worker];
-        SimContext context(shard, faults(), config_.seed, worker);
-
+        SimContext context(cell_shards[worker], faults(), config_.seed,
+                           worker);
         while (true) {
             std::size_t index = next_cell.fetch_add(1);
             if (index >= cells.size())
@@ -904,64 +899,12 @@ CampaignRunner::runImpl(const std::string *cache_path)
             const Cell &cell = cells[index];
             PairTask &pair = pairs[cell.pair];
             const WorkloadState &state = states[pair.state];
-            const auto &named = state.layouts[cell.layout];
-
-            // Each cell gets one budget; the cooperative deadline is
-            // checked inside the replay loops (per chunk), so an
-            // expired budget surfaces below as TimeoutError.
-            SimContext cell_context = context;
-            if (config_.cellTimeoutSeconds > 0.0) {
-                auto budget = std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        config_.cellTimeoutSeconds));
-                cell_context = context.withDeadline(
-                    std::chrono::steady_clock::now() + budget);
-            }
 
             // Simulate outside any lock: each worker owns its System;
-            // the trace and layout are shared immutable.
-            CellOutcome outcome;
-            ScopedTimer cell_timer(shard, "campaign/cell");
-            try {
-                RunRecord record;
-                record.platform = pair.platform->name;
-                record.workload = state.label;
-                record.layout = named.name;
-                record.result = simulateCellResult(
-                    *pair.platform, *state.workload, named,
-                    *state.trace, config_,
-                    co_tenant ? &*co_tenant : nullptr,
-                    state.plan.get(), &record.estErr, cell_context);
-                outcome.record = std::move(record);
-            } catch (const ResourceError &e) {
-                // The frame budget cannot hold the cell's pages: an
-                // isolated, structured Resource failure — the pool
-                // exhaustion analog of a timeout.
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name,
-                                Error(ErrorCategory::Resource,
-                                      e.what())};
-            } catch (const TimeoutError &e) {
-                // The watchdog fired: a hung cell is an isolated
-                // Timeout failure, not a wedged worker.
-                shard.add("campaign/cells_timed_out");
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name, timeoutError(e.what())};
-            } catch (const std::exception &e) {
-                // One bad cell must not take down the pair: record it
-                // and keep simulating the remaining layouts.
-                shard.add("campaign/cells_failed");
-                outcome.failure =
-                    CellFailure{pair.platform->name, state.label,
-                                named.name,
-                                Error(ErrorCategory::Internal, e.what())};
-            }
-            cell_timer.stop();
+            // the prepared workload is shared immutable.
+            CellOutcome outcome = simulateCellResult(
+                *pair.platform, state.prep,
+                state.prep.layouts[cell.layout], config_, context);
 
             // Commit under the progress mutex: slot writes, pair
             // accounting, heartbeat composition, checkpoint cadence.
@@ -1090,8 +1033,8 @@ CampaignRunner::runImpl(const std::string *cache_path)
                                        "*", *state.error});
             continue;
         }
-        for (std::size_t li = 0; li < state.layouts.size(); ++li) {
-            const auto &named = state.layouts[li];
+        for (std::size_t li = 0; li < state.prep.layouts.size(); ++li) {
+            const auto &named = state.prep.layouts[li];
             if (!ownsCell(pair, li))
                 continue; // another shard's cell, never a local slot
             if (pair.done && pair.done->count(named.name)) {

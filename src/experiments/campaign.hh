@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "support/error.hh"
 #include "support/retry.hh"
 #include "support/sim_context.hh"
+#include "trace/trace.hh"
 #include "vm/frame_pool.hh"
 #include "workloads/registry.hh"
 
@@ -189,6 +191,80 @@ struct CampaignReport
     std::string summary() const;
 };
 
+/** One simulated cell: exactly one of record/failure is set. */
+struct CellOutcome
+{
+    std::optional<RunRecord> record;
+    std::optional<CellFailure> failure;
+};
+
+/**
+ * The config combinations no cell could survive, checked once for every
+ * caller (the runner, runPair and the serve cold fill): sampled replay
+ * with a co-workload (the interleaved tenant engine replays whole
+ * traces), a co-workload without a bounded frame pool (the interleave
+ * needs one shared pool), and a sharded co-workload campaign (the
+ * partition hash does not cover co-tenancy). Config errors, never a
+ * panic.
+ */
+Result<void> checkCampaignConfig(const CampaignConfig &config);
+
+/** The interference partner of a co-workload campaign (trace plus
+ *  all-4KB baseline); defined in campaign.cc. */
+struct CoTenant;
+
+/**
+ * Everything the cells of one workload share, built once: the trace,
+ * the 54 (+ all-1GB) layouts, the sample plan of a sampled campaign and
+ * the co-tenant of a co-workload one. None of it depends on the
+ * platform, so one value serves every platform's cells.
+ */
+struct PreparedWorkload
+{
+    /** Not owned: the caller keeps the workload alive while its cells
+     *  run. */
+    const workloads::Workload *workload = nullptr;
+    std::shared_ptr<const trace::MemoryTrace> trace;
+    std::vector<layouts::NamedLayout> layouts;
+
+    /** Sampled campaigns only (layout- and platform-independent). */
+    std::shared_ptr<const sampling::SamplePlan> plan;
+
+    /** Co-workload campaigns only. */
+    std::shared_ptr<const CoTenant> co;
+};
+
+/**
+ * Prepare one workload's cells. The trace comes from @p trace when
+ * given (an in-memory cache), else from the configured columnar store
+ * cache — retried with config.retry, a damaged store quarantined as
+ * "*.corrupt" and regenerated — or fresh generation. The co-tenant is
+ * @p co when given, else prepared here when config.coWorkload is set.
+ * Transient retries are added to @p retries. Any failure fails the
+ * whole (platform, workload) pair.
+ */
+Result<PreparedWorkload>
+prepareWorkload(const workloads::Workload &workload,
+                const CampaignConfig &config, std::size_t &retries,
+                const SimContext &context,
+                std::shared_ptr<const trace::MemoryTrace> trace = nullptr,
+                std::shared_ptr<const CoTenant> co = nullptr);
+
+/**
+ * Simulate one (platform, workload, layout) cell: full or sampled
+ * replay, single-tenant or interleaved against the co-tenant, under
+ * config.os. A cellTimeoutSeconds budget tightens @p context's deadline.
+ * Failures never throw; they map to one CellFailure each — Resource
+ * (the frame budget cannot hold the cell), Timeout (the deadline fired)
+ * or Internal (anything else) — and count campaign/cells_failed (plus
+ * campaign/cells_timed_out) in @p context's metrics.
+ */
+CellOutcome simulateCellResult(const cpu::PlatformSpec &platform,
+                               const PreparedWorkload &prepared,
+                               const layouts::NamedLayout &named,
+                               const CampaignConfig &config,
+                               const SimContext &context);
+
 /**
  * Runs campaigns and serves cached results.
  */
@@ -217,11 +293,10 @@ class CampaignRunner
     Dataset loadOrRun(const std::string &cache_path);
 
     /**
-     * Run one (workload, platform) pair: generate (or load from the
-     * trace cache) the trace, build the 54+1 layouts, simulate each,
-     * and append records to @p dataset. Layout names in
-     * @p done_layouts are skipped (campaign resume). Failing cells
-     * are returned, not thrown.
+     * Run one (workload, platform) pair: prepareWorkload() plus one
+     * simulateCellResult() per layout, appending records to
+     * @p dataset. Layout names in @p done_layouts are skipped
+     * (campaign resume). Failing cells are returned, not thrown.
      */
     static std::vector<CellFailure> runPair(
         const workloads::Workload &workload,

@@ -1,22 +1,14 @@
 #include "serve/model_registry.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <fstream>
 
 #include "cpu/platform.hh"
-#include "cpu/system.hh"
 #include "experiments/campaign.hh"
 #include "experiments/dataset.hh"
 #include "experiments/report.hh"
-#include "layouts/heuristics.hh"
-#include "sampling/sampled_run.hh"
-#include "support/io_util.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "trace/miss_profile.hh"
-#include "trace/trace_store.hh"
 #include "workloads/registry.hh"
 
 namespace mosaic::serve
@@ -75,6 +67,23 @@ assembleSampleSet(const std::vector<exp::RunRecord> &records,
     if (!got1g)
         set.all1g = set.all2m;
     return set;
+}
+
+/** The campaign config a cold fill runs under: the daemon's seed,
+ *  1GB lane, trace cache, sampling knobs and workload factory, with
+ *  every other knob at its campaign default (unbounded memory, one
+ *  tenant, no shards, no cell budget). */
+exp::CampaignConfig
+coldCampaignConfig(const ModelRegistry::Options &options)
+{
+    exp::CampaignConfig config;
+    config.workloadFactory = options.workloadFactory;
+    config.include1g = options.include1g;
+    config.verbose = false;
+    config.seed = options.seed;
+    config.traceCacheDir = options.traceCacheDir;
+    config.sampling = options.coldSampling;
+    return config;
 }
 
 } // namespace
@@ -247,78 +256,6 @@ ModelRegistry::predictWarm(PairEntry &pair, const PredictQuery &query,
     return prediction;
 }
 
-Result<std::shared_ptr<const trace::MemoryTrace>>
-ModelRegistry::obtainTrace(const workloads::Workload &workload,
-                           const SimContext &context)
-{
-    const std::string label = workload.info().label();
-    {
-        std::lock_guard<std::mutex> lock(tracesMutex_);
-        auto it = traces_.find(label);
-        if (it != traces_.end()) {
-            context.metrics().add("serve/trace_cache_hits");
-            return it->second;
-        }
-    }
-    context.metrics().add("serve/trace_cache_misses");
-
-    std::string cache_path;
-    if (!options_.traceCacheDir.empty()) {
-        if (auto made = ensureDirectory(options_.traceCacheDir);
-            made.ok()) {
-            cache_path = options_.traceCacheDir + "/" +
-                         exp::traceCacheStem(label) +
-                         trace::traceStoreExtension;
-        }
-    }
-
-    trace::MemoryTrace loaded;
-    bool have_trace = false;
-    if (!cache_path.empty()) {
-        std::ifstream probe(cache_path);
-        if (probe.good()) {
-            probe.close();
-            auto from_store =
-                trace::loadStoredTrace(cache_path, context);
-            if (from_store.ok()) {
-                context.metrics().add("serve/trace_store_hits");
-                loaded = std::move(from_store).okOrThrow();
-                have_trace = true;
-            } else {
-                mosaic_warn("serve: trace store for ", label,
-                            " unusable (", from_store.error().str(),
-                            "); regenerating");
-            }
-        }
-    }
-    if (!have_trace) {
-        try {
-            ScopedTimer timer(context.metrics(),
-                              "serve/trace_generate");
-            loaded = workload.generateTrace();
-        } catch (const std::exception &e) {
-            return Error(ErrorCategory::Internal,
-                         std::string("trace generation failed: ") +
-                             e.what())
-                .withContext("workload " + label);
-        }
-        if (!cache_path.empty()) {
-            auto saved = trace::TraceStore::save(loaded, cache_path,
-                                                 context);
-            if (!saved.ok()) {
-                mosaic_warn("serve: cannot cache trace for ", label,
-                            ": ", saved.error().str());
-            }
-        }
-    }
-
-    auto shared = std::make_shared<const trace::MemoryTrace>(
-        std::move(loaded));
-    std::lock_guard<std::mutex> lock(tracesMutex_);
-    auto [it, inserted] = traces_.emplace(label, std::move(shared));
-    return it->second;
-}
-
 Result<void>
 ModelRegistry::simulateCold(const Key &key, const SimContext &context)
 {
@@ -340,93 +277,57 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
     if (!workload)
         return configError("unknown workload '" + key.second + "'");
 
-    auto traceResult = obtainTrace(*workload, context);
-    if (!traceResult.ok())
-        return traceResult.error();
-    const trace::MemoryTrace &trace = *traceResult.value();
-
-    std::vector<layouts::NamedLayout> layouts;
-    try {
-        trace::MissProfile profile(trace,
-                                   workload->primaryPoolBase(),
-                                   workload->primaryPoolSize());
-        layouts = layouts::paperCampaignLayouts(
-            workload->primaryPoolSize(), profile, options_.seed);
-        if (options_.include1g) {
-            layouts.push_back(layouts::uniformLayout(
-                workload->primaryPoolSize(),
-                alloc::PageSize::Page1G));
-        }
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Internal,
-                     std::string("layout construction failed: ") +
-                         e.what());
+    // The campaign's own prep and cell path, so a cold surface is the
+    // campaign's surface by construction. Decoded traces stay resident
+    // per label: every platform of a workload replays the same one.
+    const exp::CampaignConfig config = coldCampaignConfig(options_);
+    const std::string label = workload->info().label();
+    std::shared_ptr<const trace::MemoryTrace> trace;
+    {
+        std::lock_guard<std::mutex> lock(tracesMutex_);
+        auto it = traces_.find(label);
+        if (it != traces_.end())
+            trace = it->second;
+    }
+    registry.add(trace ? "serve/trace_cache_hits"
+                       : "serve/trace_cache_misses");
+    if (config.sampling.enabled())
+        registry.add("serve/cold_sampled");
+    std::size_t retries = 0;
+    auto prepared =
+        exp::prepareWorkload(*workload, config, retries, context, trace);
+    if (!prepared.ok())
+        return prepared.error();
+    if (!trace) {
+        std::lock_guard<std::mutex> lock(tracesMutex_);
+        traces_.emplace(label, prepared.value().trace);
     }
 
-    // Full replay of every layout of the campaign grid — or, with
-    // --cold-sampled, interval-sampled replay of one shared plan. The
-    // query's cooperative deadline rides in on the context and is
-    // checked inside the replay chunk loop, so a timed-out query
-    // abandons the pass within one chunk.
+    // Every layout of the grid, in order. The query's cooperative
+    // deadline rides in on the context and is checked inside the
+    // replay chunk loop, so a timed-out query abandons the pass within
+    // one chunk.
     std::vector<exp::RunRecord> records;
-    records.reserve(layouts.size());
-    try {
-        const bool sampled = options_.coldSampling.enabled();
-        sampling::SamplePlan plan;
-        if (sampled) {
-            registry.add("serve/cold_sampled");
-            ScopedTimer plan_timer(registry, "serve/cold_sample_plan");
-            plan = sampling::buildSamplePlan(trace, options_.coldSampling);
+    records.reserve(prepared.value().layouts.size());
+    for (const auto &named : prepared.value().layouts) {
+        exp::CellOutcome cell = exp::simulateCellResult(
+            platform.value(), prepared.value(), named, config, context);
+        if (cell.record) {
+            records.push_back(std::move(*cell.record));
+            continue;
         }
-        for (const auto &named : layouts) {
-            exp::RunRecord record;
-            record.platform = key.first;
-            record.workload = key.second;
-            record.layout = named.name;
-            try {
-                const alloc::MosallocConfig config =
-                    workload->makeAllocConfig(named.layout);
-                if (sampled) {
-                    sampling::SampledEstimate estimate =
-                        sampling::simulateSampled(platform.value(), config,
-                                                  trace, plan,
-                                                  /*os=*/{}, context);
-                    record.result = estimate.estimate;
-                    record.estErr = estimate.estErr;
-                } else {
-                    record.result = cpu::simulateRun(
-                        platform.value(), config, trace, context);
-                }
-            } catch (const TimeoutError &) {
-                throw; // outer handler owns timeout accounting
-            } catch (const std::exception &e) {
-                const bool required = named.name == exp::layoutAll4k ||
-                                      named.name == exp::layoutAll2m;
-                if (required) {
-                    const ErrorCategory category =
-                        dynamic_cast<const ResourceError *>(&e)
-                            ? ErrorCategory::Resource
-                            : ErrorCategory::Internal;
-                    return Error(category,
-                                 std::string("cold lane failed: ") +
-                                     e.what())
-                        .withContext("cold-simulating required reference " +
-                                     named.name);
-                }
-                registry.add("serve/cold_lane_failures");
-                continue;
-            }
-            records.push_back(std::move(record));
+        const Error &error = cell.failure->error;
+        if (error.category() == ErrorCategory::Timeout) {
+            registry.add("serve/cold_timeouts");
+            return error.withContext("cold simulation of " + key.first +
+                                     "/" + key.second);
         }
-    } catch (const TimeoutError &e) {
-        registry.add("serve/cold_timeouts");
-        return timeoutError(std::string(e.what()))
-            .withContext("cold simulation of " + key.first + "/" +
-                         key.second);
-    } catch (const std::exception &e) {
-        return Error(ErrorCategory::Internal,
-                     std::string("cold simulation failed: ") +
-                         e.what());
+        if (named.name == exp::layoutAll4k ||
+            named.name == exp::layoutAll2m) {
+            return error.withContext(
+                "cold-simulating required reference " + named.name);
+        }
+        registry.add("serve/cold_lane_failures");
     }
 
     auto samples = assembleSampleSet(records, key.first, key.second);

@@ -7,11 +7,13 @@
  * Warm path: the pair's SampleSet is resident (loaded from a campaign
  * CSV at startup or produced by an earlier cold simulation); the
  * requested model is fitted lazily once per (pair, model) and predicts
- * in microseconds. Cold path: every layout of the campaign grid is
- * replayed in turn (cpu::simulateRun), bounded by the query's
- * cooperative SimContext deadline; concurrent cold queries for the
- * same pair deduplicate into one simulation (single-flight), with
- * followers waiting — also deadline-bounded — for the leader's result.
+ * in microseconds. Cold path: the campaign's own workload prep and cell
+ * path (exp::prepareWorkload, exp::simulateCellResult) replays every
+ * layout of the grid in turn, bounded by the query's cooperative
+ * SimContext deadline, so a cold surface is bit-identical to the
+ * campaign's; concurrent cold queries for the same pair deduplicate
+ * into one simulation (single-flight), with followers waiting — also
+ * deadline-bounded — for the leader's result.
  *
  * With Options::coldSampling enabled (--cold-sampled), the cold path
  * trades full replay for interval-sampled replay: one sample plan is
@@ -153,9 +155,6 @@ class ModelRegistry
                                    const SimContext &context) const;
     Result<void> simulateCold(const Key &key,
                               const SimContext &context);
-    Result<std::shared_ptr<const trace::MemoryTrace>>
-    obtainTrace(const workloads::Workload &workload,
-                const SimContext &context);
 
     Options options_;
 

@@ -2,8 +2,8 @@
  * @file
  * Deterministic fault injection for exercising recovery paths.
  *
- * Every recovery path in the campaign engine — corrupt-trace
- * regeneration, CSV row skipping, open retries, Lasso degradation —
+ * Every recovery path in the campaign engine — corrupt-store
+ * quarantine, CSV row skipping, open retries, Lasso degradation —
  * is driven by tests through this hook rather than assumed to work.
  * Faults are armed per site, fire on the N-th hit of that site (or on
  * every hit), and all randomness (corruption offsets, bit picks) comes
@@ -12,9 +12,9 @@
  * Configuration is programmatic (tests) or via the MOSAIC_FAULTS
  * environment variable (whole-binary runs), e.g.:
  *
- *   MOSAIC_FAULTS="trace-open:3,trace-corrupt:1,seed:42"
+ *   MOSAIC_FAULTS="store-open:3,store-corrupt:1,seed:42"
  *
- * fails the 3rd trace-file open and corrupts the 1st trace written,
+ * fails the 3rd trace-store open and corrupts the 1st store written,
  * with corruption offsets drawn from seed 42. A count of "*" arms the
  * site for every hit. An unset/empty spec disables all sites, which is
  * the production default — every check is a single relaxed branch.
@@ -38,8 +38,6 @@ namespace mosaic
 /** Instrumented failure points. */
 enum class FaultSite : std::size_t
 {
-    TraceOpen,    ///< fopen() of a trace file reports failure
-    TraceCorrupt, ///< bytes of a written trace block are flipped
     CsvTruncate,  ///< a dataset CSV row is emitted half-written
     CsvOpen,      ///< open of the dataset CSV reports failure
     LassoNan,     ///< a NaN is injected into the Lasso design matrix
@@ -52,7 +50,7 @@ enum class FaultSite : std::size_t
     NumSites
 };
 
-/** Parse "trace-open" etc.; Config error for unknown names. */
+/** Parse "store-open" etc.; Config error for unknown names. */
 Result<FaultSite> faultSiteByName(const std::string &name);
 
 /** Inverse of faultSiteByName(). */

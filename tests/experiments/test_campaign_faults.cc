@@ -169,6 +169,36 @@ TEST_F(CampaignFaultTest, ExhaustedRetriesFailThePairNotTheCampaign)
     EXPECT_EQ(dataset.runs("SandyBridge", "test/tiny").size(), 55u);
 }
 
+TEST_F(CampaignFaultTest, RunPairExpiredDeadlineFailsCellsAsTimeout)
+{
+    // runPair shares the runner's cell path, so a watchdog expiry is a
+    // structured Timeout failure per cell, counted like the runner's.
+    TinyWorkload workload;
+    MetricsRegistry shard;
+    const SimContext expired =
+        SimContext(shard, faults())
+            .withDeadline(std::chrono::steady_clock::now() -
+                          std::chrono::seconds(1));
+    Dataset dataset;
+    auto failures = CampaignRunner::runPair(
+        workload, cpu::sandyBridge(), faultConfig(), dataset, nullptr,
+        nullptr, expired);
+    ASSERT_EQ(failures.size(), 55u);
+    for (const auto &failure : failures)
+        EXPECT_EQ(failure.error.category(), ErrorCategory::Timeout);
+    EXPECT_EQ(dataset.totalRuns(), 0u);
+    EXPECT_EQ(shard.counter("campaign/cells_timed_out"), 55u);
+    EXPECT_EQ(shard.counter("campaign/cells_failed"), 55u);
+
+    // The per-cell budget rides the same path.
+    CampaignConfig budgeted = faultConfig();
+    budgeted.cellTimeoutSeconds = 1e-9;
+    failures = CampaignRunner::runPair(workload, cpu::sandyBridge(),
+                                       budgeted, dataset);
+    ASSERT_EQ(failures.size(), 55u);
+    EXPECT_EQ(failures[0].error.category(), ErrorCategory::Timeout);
+}
+
 /**
  * The end-to-end drill from the issue: a campaign with an injected
  * fault completes, reports the failed cells in its summary, and a

@@ -203,6 +203,22 @@ TEST(CampaignPaging, CoWorkloadRequiresBoundedPool)
     EXPECT_EQ(report.cellsCompleted, 0u);
 }
 
+TEST(CampaignPaging, RunPairCoWorkloadRequiresBoundedPool)
+{
+    // runPair shares the runner's config check: one Config failure for
+    // the pair, no cell ever reaching the tenant engine's invariants.
+    CampaignConfig config = pagingConfig();
+    config.coWorkload = "test/noisy"; // but os stays unbounded
+    TinyWorkload workload;
+    Dataset dataset;
+    auto failures = CampaignRunner::runPair(workload, cpu::sandyBridge(),
+                                            config, dataset);
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].error.category(), ErrorCategory::Config);
+    EXPECT_EQ(failures[0].layout, "*");
+    EXPECT_EQ(dataset.totalRuns(), 0u);
+}
+
 TEST(CampaignPaging, CoWorkloadCannotBeSharded)
 {
     CampaignConfig config = pagingConfig();

@@ -4,7 +4,7 @@
  * campaign dataset, structured rejection of unknown names, and the
  * cold path — on-demand simulation, the interval-sampled cold
  * variant, single-flight dedup, deadline timeouts, and trace-store
- * reuse.
+ * reuse and quarantine.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "serve/model_registry.hh"
 #include "support/random.hh"
 #include "support/sim_context.hh"
+#include "trace/trace_store.hh"
 
 using namespace mosaic;
 using namespace mosaic::serve;
@@ -330,11 +332,40 @@ TEST(ServeRegistry, TraceCacheDirIsReusedAcrossRegistries)
     options.traceCacheDir = scratch.path();
     ModelRegistry first(std::move(options));
     ASSERT_TRUE(first.predict(tinyQuery(), context).ok());
-    EXPECT_EQ(shard.counter("serve/trace_store_hits"), 0u);
+    EXPECT_EQ(shard.counter("trace_store/hits"), 0u);
 
     ModelRegistry::Options reuse = coldOptions();
     reuse.traceCacheDir = scratch.path();
     ModelRegistry second(std::move(reuse));
     ASSERT_TRUE(second.predict(tinyQuery(), context).ok());
-    EXPECT_EQ(shard.counter("serve/trace_store_hits"), 1u);
+    EXPECT_EQ(shard.counter("trace_store/hits"), 1u);
+}
+
+TEST(ServeRegistry, CorruptTraceStoreIsQuarantinedAndColdStillMatches)
+{
+    // The cold fill loads the store through the campaign's path: a
+    // damaged file is moved aside as evidence, the trace regenerated,
+    // and the surface still equals the campaign's bit for bit.
+    test::ScratchDir scratch("serve_trace_quarantine");
+    const std::string store = scratch.path() + "/" +
+                              exp::traceCacheStem("test/tiny") +
+                              trace::traceStoreExtension;
+    {
+        std::ofstream garbage(store, std::ios::binary);
+        garbage << "not a trace store";
+    }
+    MetricsRegistry shard;
+    SimContext context(shard, faults());
+    ModelRegistry::Options options = coldOptions();
+    options.traceCacheDir = scratch.path();
+    ModelRegistry registry(std::move(options));
+
+    auto prediction = registry.predict(tinyQuery(), context);
+    ASSERT_TRUE(prediction.ok()) << prediction.error().str();
+    EXPECT_TRUE(std::ifstream(store + ".corrupt").good());
+    EXPECT_EQ(shard.counter("trace_store/quarantined"), 1u);
+    const auto &row =
+        sharedDataset().findRun("SandyBridge", "test/tiny", "grow-3");
+    EXPECT_DOUBLE_EQ(prediction.value().measuredCycles,
+                     static_cast<double>(row.result.runtimeCycles));
 }

@@ -111,7 +111,10 @@ class Client
             }
         }
         if (fd_ >= 0) {
-            timeval timeout{5, 0};
+            // A wait limit, not an assertion: the first warm PREDICT
+            // fits the Mosmodel, which takes several seconds under
+            // ThreadSanitizer. Passing tests never reach it.
+            timeval timeout{60, 0};
             ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
                          sizeof(timeout));
         }

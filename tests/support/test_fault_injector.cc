@@ -30,17 +30,17 @@ class FaultInjectorTest : public ::testing::Test
 TEST_F(FaultInjectorTest, DisarmedSitesNeverFire)
 {
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(faults().shouldFail(FaultSite::TraceOpen));
+        EXPECT_FALSE(faults().shouldFail(FaultSite::StoreOpen));
     // Unarmed sites take the cheap path and do not count hits.
-    EXPECT_EQ(faults().hits(FaultSite::TraceOpen), 0u);
+    EXPECT_EQ(faults().hits(FaultSite::StoreOpen), 0u);
 }
 
 TEST_F(FaultInjectorTest, ArmedSitesCountHits)
 {
-    faults().arm(FaultSite::TraceOpen, 5);
-    (void)faults().shouldFail(FaultSite::TraceOpen);
-    (void)faults().shouldFail(FaultSite::TraceOpen);
-    EXPECT_EQ(faults().hits(FaultSite::TraceOpen), 2u);
+    faults().arm(FaultSite::StoreOpen, 5);
+    (void)faults().shouldFail(FaultSite::StoreOpen);
+    (void)faults().shouldFail(FaultSite::StoreOpen);
+    EXPECT_EQ(faults().hits(FaultSite::StoreOpen), 2u);
 }
 
 TEST_F(FaultInjectorTest, FiresOnNthHitOnly)
@@ -61,18 +61,18 @@ TEST_F(FaultInjectorTest, ZeroMeansEveryHit)
 
 TEST_F(FaultInjectorTest, SitesAreIndependent)
 {
-    faults().arm(FaultSite::TraceOpen, 1);
-    EXPECT_FALSE(faults().shouldFail(FaultSite::TraceCorrupt));
-    EXPECT_TRUE(faults().shouldFail(FaultSite::TraceOpen));
+    faults().arm(FaultSite::StoreOpen, 1);
+    EXPECT_FALSE(faults().shouldFail(FaultSite::StoreCorrupt));
+    EXPECT_TRUE(faults().shouldFail(FaultSite::StoreOpen));
 }
 
 TEST_F(FaultInjectorTest, ResetDisarmsAndClearsCounters)
 {
-    faults().arm(FaultSite::TraceOpen, 1);
-    (void)faults().shouldFail(FaultSite::TraceOpen);
+    faults().arm(FaultSite::StoreOpen, 1);
+    (void)faults().shouldFail(FaultSite::StoreOpen);
     faults().reset();
-    EXPECT_EQ(faults().hits(FaultSite::TraceOpen), 0u);
-    EXPECT_FALSE(faults().shouldFail(FaultSite::TraceOpen));
+    EXPECT_EQ(faults().hits(FaultSite::StoreOpen), 0u);
+    EXPECT_FALSE(faults().shouldFail(FaultSite::StoreOpen));
 }
 
 TEST_F(FaultInjectorTest, SiteNamesRoundTrip)
@@ -91,9 +91,9 @@ TEST_F(FaultInjectorTest, SiteNamesRoundTrip)
 
 TEST_F(FaultInjectorTest, ConfigureParsesSpec)
 {
-    auto result = faults().configure("trace-open:3,csv-truncate:*,seed:9");
+    auto result = faults().configure("store-open:3,csv-truncate:*,seed:9");
     ASSERT_TRUE(result.ok());
-    EXPECT_FALSE(faults().shouldFail(FaultSite::TraceOpen)); // 1st of 3
+    EXPECT_FALSE(faults().shouldFail(FaultSite::StoreOpen)); // 1st of 3
     EXPECT_TRUE(faults().shouldFail(FaultSite::CsvTruncate)); // every
     EXPECT_TRUE(faults().shouldFail(FaultSite::CsvTruncate));
 }
@@ -101,9 +101,19 @@ TEST_F(FaultInjectorTest, ConfigureParsesSpec)
 TEST_F(FaultInjectorTest, ConfigureRejectsGarbage)
 {
     EXPECT_FALSE(faults().configure("not-a-site:1").ok());
-    EXPECT_FALSE(faults().configure("trace-open").ok());
-    EXPECT_FALSE(faults().configure("trace-open:abc").ok());
+    EXPECT_FALSE(faults().configure("store-open").ok());
+    EXPECT_FALSE(faults().configure("store-open:abc").ok());
     EXPECT_TRUE(faults().configure("").ok());
+}
+
+TEST_F(FaultInjectorTest, RetiredTraceSitesAreConfigErrors)
+{
+    // No code checks a trace-file site, so a spec naming one must
+    // fail loudly rather than arm nothing.
+    auto result = faults().configure("trace-open:1");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().category(), ErrorCategory::Config);
+    EXPECT_FALSE(faultSiteByName("trace-corrupt").ok());
 }
 
 TEST_F(FaultInjectorTest, ConcurrentHittersNeverLoseCountsAndFireOnce)
@@ -114,14 +124,14 @@ TEST_F(FaultInjectorTest, ConcurrentHittersNeverLoseCountsAndFireOnce)
     constexpr int threads = 8;
     constexpr std::uint64_t perThread = 20000;
     constexpr std::uint64_t fireOn = threads * perThread / 2;
-    faults().arm(FaultSite::TraceOpen, fireOn);
+    faults().arm(FaultSite::StoreOpen, fireOn);
 
     std::atomic<std::uint64_t> fired{0};
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
         pool.emplace_back([&] {
             for (std::uint64_t i = 0; i < perThread; ++i) {
-                if (faults().shouldFail(FaultSite::TraceOpen))
+                if (faults().shouldFail(FaultSite::StoreOpen))
                     fired.fetch_add(1, std::memory_order_relaxed);
             }
         });
@@ -129,7 +139,7 @@ TEST_F(FaultInjectorTest, ConcurrentHittersNeverLoseCountsAndFireOnce)
     for (auto &thread : pool)
         thread.join();
 
-    EXPECT_EQ(faults().hits(FaultSite::TraceOpen),
+    EXPECT_EQ(faults().hits(FaultSite::StoreOpen),
               static_cast<std::uint64_t>(threads) * perThread);
     EXPECT_EQ(fired.load(), 1u);
 }

@@ -21,6 +21,15 @@ parse(std::vector<const char *> words)
                      const_cast<char **>(words.data()));
 }
 
+mosaic::Result<Args>
+parseKnown(std::vector<const char *> words,
+           const std::vector<std::string> &known)
+{
+    words.insert(words.begin(), "prog");
+    return parseArgs(static_cast<int>(words.size()),
+                     const_cast<char **>(words.data()), known);
+}
+
 } // namespace
 
 TEST(Cli, KeyValuePairs)
@@ -214,4 +223,34 @@ TEST(CliNumeric, OptionHelpersUseFallback)
     auto timeout = doubleOption(args, "cell-timeout", 0.0, 0.0);
     ASSERT_TRUE(timeout.ok());
     EXPECT_DOUBLE_EQ(timeout.value(), 0.0);
+}
+
+TEST(CliKnownOptions, AcceptsListedOptionsAndHelp)
+{
+    auto args = parseKnown({"--jobs", "4", "--resume", "--help", "x.csv"},
+                           {"jobs", "resume"});
+    ASSERT_TRUE(args.ok()) << args.error().str();
+    EXPECT_EQ(args.value().get("jobs"), "4");
+    EXPECT_TRUE(args.value().has("resume"));
+    EXPECT_TRUE(args.value().has("help"));
+}
+
+TEST(CliKnownOptions, UnknownOptionIsAConfigErrorNamingIt)
+{
+    // A retired flag must not be silently ignored.
+    auto args = parseKnown({"--jobs", "4", "--fused", "--fused-group", "3"},
+                           {"jobs"});
+    ASSERT_FALSE(args.ok());
+    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+    EXPECT_NE(args.error().str().find("--fused"), std::string::npos);
+}
+
+TEST(CliKnownOptions, ToolParseExitsTwoWithUsageOnUnknownOption)
+{
+    std::vector<const char *> words = {"prog", "--fused"};
+    EXPECT_EXIT(parseToolArgs("prog", static_cast<int>(words.size()),
+                              const_cast<char **>(words.data()),
+                              {"jobs"}, "usage: prog [--jobs N]\n"),
+                ::testing::ExitedWithCode(2),
+                "unknown option --fused(.|\n)*usage: prog");
 }

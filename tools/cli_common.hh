@@ -6,6 +6,7 @@
 #ifndef MOSAIC_TOOLS_CLI_COMMON_HH
 #define MOSAIC_TOOLS_CLI_COMMON_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -66,6 +67,23 @@ parseArgs(int argc, char **argv)
         } else {
             args.positional.push_back(word);
         }
+    }
+    return args;
+}
+
+/**
+ * parseArgs() restricted to @p known option names ("help" is always
+ * known): any other "--option" is a Config error naming it, so a
+ * mistyped or retired flag cannot be silently ignored.
+ */
+inline Result<Args>
+parseArgs(int argc, char **argv, const std::vector<std::string> &known)
+{
+    Args args = parseArgs(argc, argv);
+    for (const auto &[key, value] : args.options) {
+        if (key != "help" &&
+            std::find(known.begin(), known.end(), key) == known.end())
+            return configError("unknown option --" + key);
     }
     return args;
 }
@@ -156,6 +174,27 @@ usage(const std::string &text)
 {
     std::fprintf(stderr, "%s", text.c_str());
     std::exit(2);
+}
+
+/**
+ * A tool's argument parse: every option must be in @p known, else the
+ * offending option and the usage text are printed and the tool exits
+ * 2. "--help" prints the usage text and exits 2 too.
+ */
+inline Args
+parseToolArgs(const char *tool, int argc, char **argv,
+              const std::vector<std::string> &known,
+              const std::string &usage_text)
+{
+    auto parsed = parseArgs(argc, argv, known);
+    if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", tool,
+                     parsed.error().str().c_str());
+        usage(usage_text);
+    }
+    if (parsed.value().has("help"))
+        usage(usage_text);
+    return std::move(parsed).okOrThrow();
 }
 
 /**

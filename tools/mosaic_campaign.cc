@@ -88,9 +88,15 @@ int
 campaignMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
-    if (args.has("help"))
-        cli::usage(usageText);
+    auto args = cli::parseToolArgs(
+        "mosaic_campaign", argc, argv,
+        {"workloads", "platforms", "jobs", "threads", "no-1gb", "out",
+         "resume", "trace-cache", "checkpoint-every", "max-retries",
+         "shard", "cell-timeout", "mem-frames", "replacement",
+         "swap-cost", "writeback-cost", "co-workload", "sample-mode",
+         "sample-interval", "sample-clusters", "sample-warmup",
+         "metrics-out"},
+        usageText);
 
     exp::CampaignConfig config;
     if (args.has("workloads")) {

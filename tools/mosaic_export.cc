@@ -31,9 +31,9 @@ int
 exportMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
-    if (args.has("help"))
-        cli::usage(usageText);
+    auto args = cli::parseToolArgs(
+        "mosaic_export", argc, argv,
+        {"dataset", "outdir", "curves", "metrics-out"}, usageText);
 
     ScopedTimer total_timer(metrics(), "export/total");
     auto dataset = exp::Dataset::load(

@@ -32,9 +32,11 @@ int
 fitMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
-    if (args.has("help"))
-        cli::usage(usageText);
+    auto args = cli::parseToolArgs(
+        "mosaic_fit", argc, argv,
+        {"dataset", "workload", "platform", "models", "describe",
+         "metrics-out"},
+        usageText);
 
     ScopedTimer total_timer(metrics(), "fit/total");
     auto dataset =

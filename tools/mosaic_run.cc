@@ -121,7 +121,11 @@ int
 runMain(int argc, char **argv)
 {
     using namespace mosaic;
-    auto args = cli::parseArgs(argc, argv);
+    auto args = cli::parseToolArgs(
+        "mosaic_run", argc, argv,
+        {"workload", "platform", "layout", "jobs", "csv", "stats",
+         "list", "metrics-out"},
+        usageText);
 
     if (args.has("list")) {
         std::printf("workloads:\n");

@@ -75,9 +75,13 @@ int
 main(int argc, char **argv)
 {
     return cli::runGuarded("mosaic_serve", [&]() -> int {
-        cli::Args args = cli::parseArgs(argc, argv);
-        if (args.has("help"))
-            cli::usage(kUsage);
+        cli::Args args = cli::parseToolArgs(
+            "mosaic_serve", argc, argv,
+            {"dataset", "socket", "port", "jobs", "query-timeout",
+             "trace-cache", "seed", "no-1gb", "no-cold", "cold-sampled",
+             "sample-interval", "sample-clusters", "sample-warmup",
+             "metrics-out"},
+            kUsage);
 
         serve::ModelRegistry::Options regOptions;
         regOptions.traceCacheDir = args.get("trace-cache");

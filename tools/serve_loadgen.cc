@@ -141,9 +141,12 @@ int
 main(int argc, char **argv)
 {
     return cli::runGuarded("serve_loadgen", [&]() -> int {
-        cli::Args args = cli::parseArgs(argc, argv);
-        if (args.has("help") ||
-            (!args.has("socket") && !args.has("port")) ||
+        cli::Args args = cli::parseToolArgs(
+            "serve_loadgen", argc, argv,
+            {"socket", "port", "platform", "workload", "clients",
+             "requests", "model", "out"},
+            kUsage);
+        if ((!args.has("socket") && !args.has("port")) ||
             !args.has("platform") || !args.has("workload")) {
             cli::usage(kUsage);
         }
