@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,7 +38,17 @@ constexpr Bytes kFootprint = 48_MiB;
 constexpr Bytes kPool = 1_GiB;
 constexpr std::uint64_t kRecords = 150000;
 
-/** The layout grid: uniform 4K/2M/1G plus a mixed 2MB window. */
+/**
+ * A 2GiB heap mixing every page size across the footprint: 2MB pages
+ * up to 16MiB below the 1GiB mark, then 8MiB of 4KB pages, 8MiB of
+ * 2MB pages, and one 1GB page above it. The footprint is placed to
+ * straddle the mark (see kMixPad), so a replay touches all three.
+ */
+constexpr Bytes kMixPool = 2_GiB;
+constexpr Bytes kMixPad = 1_GiB - kFootprint / 2;
+
+/** The layout grid: uniform 4K/2M/1G, a mixed 2MB window, and the
+ *  three-size "mix" heap of the paged goldens. */
 alloc::MosaicLayout
 layoutByName(const std::string &name)
 {
@@ -50,6 +61,15 @@ layoutByName(const std::string &name)
     if (name == "win2m")
         return alloc::MosaicLayout::withWindow(kPool, 0, 24_MiB,
                                                alloc::PageSize::Page2M);
+    if (name == "mix") {
+        using alloc::MosaicRegion;
+        using alloc::PageSize;
+        return alloc::MosaicLayout(
+            kMixPool,
+            {MosaicRegion{0, 1_GiB - 16_MiB, PageSize::Page2M},
+             MosaicRegion{1_GiB - 8_MiB, 8_MiB, PageSize::Page2M},
+             MosaicRegion{1_GiB, 1_GiB, PageSize::Page1G}});
+    }
     ADD_FAILURE() << "unknown layout " << name;
     return alloc::MosaicLayout(kPool);
 }
@@ -79,6 +99,8 @@ makeCellInput(const std::string &layout_name,
     input.config.heapLayout = layoutByName(layout_name);
     input.config.anonLayout = alloc::MosaicLayout(16_MiB);
     alloc::Mosalloc allocator(input.config);
+    if (layout_name == "mix")
+        allocator.malloc(kMixPad);
     VirtAddr base = allocator.malloc(kFootprint);
 
     trace::SynthTraceParams synth;
@@ -308,10 +330,14 @@ struct PagedGolden
     std::uint64_t s;
 };
 
+// One 1GB frame plus 8MiB: the "mix" heap's 1GB page fits, but then
+// only 8MiB is left for the 24MiB of smaller pages below it.
+constexpr std::uint64_t kMixFrames = (1_GiB + 8_MiB) / 4_KiB;
+
 // A 16MiB frame budget against the 48MiB footprint: steady demand
-// paging on every cell. Captured like the resident goldens, with
-// MOSAIC_GOLDEN_PRINT=1 (the paged rows print after the resident
-// table).
+// paging on every cell; the "mix" rows use kMixFrames. Captured like
+// the resident goldens, with MOSAIC_GOLDEN_PRINT=1 (the paged rows
+// print after the resident table).
 constexpr PagedGolden kPagedGolden[] = {
     // clang-format off
     {"SandyBridge", "all4k", 4096, vm::ReplacementPolicyKind::Fifo, 48927333ULL, 14968ULL, 43897ULL, 1784468ULL, 46053200ULL},
@@ -320,6 +346,11 @@ constexpr PagedGolden kPagedGolden[] = {
     {"SandyBridge", "all4k", 4096, vm::ReplacementPolicyKind::Clock, 43713021ULL, 15233ULL, 43625ULL, 1790500ULL, 40702800ULL},
     {"Skylake", "all4k", 4096, vm::ReplacementPolicyKind::Fifo, 47878372ULL, 30199ULL, 28666ULL, 1118100ULL, 46053200ULL},
     {"Skylake", "win2m", 4096, vm::ReplacementPolicyKind::Fifo, 44356461ULL, 1ULL, 20678ULL, 580248ULL, 42518400ULL},
+    {"Broadwell", "win2m", 4096, vm::ReplacementPolicyKind::Lru, 40268491ULL, 0ULL, 19234ULL, 573430ULL, 38469600ULL},
+    {"Broadwell", "win2m", 4096, vm::ReplacementPolicyKind::Clock, 40224252ULL, 0ULL, 19240ULL, 573940ULL, 38482400ULL},
+    {"Broadwell", "mix", kMixFrames, vm::ReplacementPolicyKind::Fifo, 33599882ULL, 0ULL, 14650ULL, 223486ULL, 31768000ULL},
+    {"Broadwell", "mix", kMixFrames, vm::ReplacementPolicyKind::Lru, 22802324ULL, 0ULL, 10463ULL, 206786ULL, 21042800ULL},
+    {"Broadwell", "mix", kMixFrames, vm::ReplacementPolicyKind::Clock, 23592699ULL, 0ULL, 10795ULL, 208228ULL, 21709200ULL},
     // clang-format on
 };
 
@@ -366,6 +397,23 @@ TEST(GoldenCounters, PagedCountersBitIdentical)
         EXPECT_GT(res.majorFaults, 0u);
         EXPECT_GT(res.evictions, 0u);
     }
+}
+
+/** The "mix" paged rows pin all three page sizes only if the trace
+ *  actually lands in each of them. */
+TEST(GoldenCounters, MixLayoutTraceTouchesEveryPageSize)
+{
+    CellInput input = makeCellInput("mix");
+    const alloc::MosaicLayout &layout = input.config.heapLayout;
+    std::array<std::uint64_t, alloc::numPageSizes> hits{};
+    for (const auto &record : input.trace.records()) {
+        ASSERT_GE(record.vaddr, alloc::PoolAddresses::heapBase);
+        Bytes offset = record.vaddr - alloc::PoolAddresses::heapBase;
+        ASSERT_LT(offset, layout.poolSize());
+        ++hits[static_cast<std::size_t>(layout.pageSizeAt(offset))];
+    }
+    for (std::uint64_t count : hits)
+        EXPECT_GT(count, 0u);
 }
 
 TEST(GoldenCounters, SynthTraceIsDeterministic)
