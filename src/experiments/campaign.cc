@@ -319,6 +319,12 @@ prepareWorkload(const workloads::Workload &workload,
                 std::shared_ptr<const trace::MemoryTrace> trace,
                 std::shared_ptr<const CoTenant> co)
 {
+    // An expired deadline (a serve query's, or runPair's caller's)
+    // would fail every cell; stop before building work they would
+    // throw away.
+    if (context.expired())
+        return timeoutError("deadline passed before the trace was "
+                            "obtained");
     PreparedWorkload prepared;
     prepared.workload = &workload;
     prepared.trace = std::move(trace);
@@ -336,6 +342,9 @@ prepareWorkload(const workloads::Workload &workload,
             return made.error();
         prepared.co = std::move(made).okOrThrow();
     }
+    if (context.expired())
+        return timeoutError("deadline passed before the layouts were "
+                            "derived");
     auto layouts_result =
         buildCampaignLayouts(workload, *prepared.trace, config);
     if (!layouts_result.ok())
@@ -475,10 +484,27 @@ CampaignRunner::runPair(const workloads::Workload &workload,
         prepareWorkload(workload, config, prep_retries, context);
     if (retries)
         *retries += prep_retries;
-    if (!prepared.ok())
-        return pairFailure(prepared.error());
-
     std::vector<CellFailure> failures;
+    if (!prepared.ok()) {
+        if (prepared.error().category() != ErrorCategory::Timeout)
+            return pairFailure(prepared.error());
+        // The deadline passed during prep: every cell fails as Timeout,
+        // counted as simulateCellResult counts a cell's own timeout.
+        // The names are structural, so no trace is needed for them.
+        std::vector<std::string> names =
+            layouts::paperCampaignLayoutNames();
+        if (config.include1g)
+            names.push_back(layoutAll1g);
+        for (const auto &name : names) {
+            if (done_layouts && done_layouts->count(name))
+                continue;
+            context.metrics().add("campaign/cells_timed_out");
+            context.metrics().add("campaign/cells_failed");
+            failures.push_back({platform.name, workload.info().label(),
+                                name, prepared.error()});
+        }
+        return failures;
+    }
     for (const auto &named : prepared.value().layouts) {
         if (done_layouts && done_layouts->count(named.name))
             continue;

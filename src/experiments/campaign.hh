@@ -241,7 +241,9 @@ struct PreparedWorkload
  * "*.corrupt" and regenerated — or fresh generation. The co-tenant is
  * @p co when given, else prepared here when config.coWorkload is set.
  * Transient retries are added to @p retries. Any failure fails the
- * whole (platform, workload) pair.
+ * whole (platform, workload) pair. An expired @p context deadline is
+ * a Timeout error, checked before the trace is obtained and again
+ * before the layouts and sample plan are built.
  */
 Result<PreparedWorkload>
 prepareWorkload(const workloads::Workload &workload,
@@ -296,7 +298,8 @@ class CampaignRunner
      * Run one (workload, platform) pair: prepareWorkload() plus one
      * simulateCellResult() per layout, appending records to
      * @p dataset. Layout names in @p done_layouts are skipped
-     * (campaign resume). Failing cells are returned, not thrown.
+     * (campaign resume). Failing cells are returned, not thrown; a
+     * deadline that passes during prep fails every cell as Timeout.
      */
     static std::vector<CellFailure> runPair(
         const workloads::Workload &workload,

@@ -85,6 +85,19 @@ slidingWindowLayouts(Bytes pool_size, const trace::MissProfile &profile,
     return layouts;
 }
 
+std::vector<std::string>
+paperCampaignLayoutNames()
+{
+    std::vector<std::string> names;
+    for (const char *prefix :
+         {"grow-", "rand-", "slide-20%-", "slide-40%-", "slide-60%-",
+          "slide-80%-"}) {
+        for (unsigned i = 0; i <= 8; ++i)
+            names.push_back(prefix + std::to_string(i));
+    }
+    return names;
+}
+
 std::vector<NamedLayout>
 paperCampaignLayouts(Bytes pool_size, const trace::MissProfile &profile,
                      std::uint64_t seed)

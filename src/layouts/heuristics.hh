@@ -68,6 +68,13 @@ std::vector<NamedLayout> slidingWindowLayouts(
 constexpr std::size_t numPaperCampaignLayouts = 54;
 
 /**
+ * The names paperCampaignLayouts() gives its layouts, in order. Like
+ * the count, they do not depend on the trace, so a pair whose trace
+ * was never obtained can still name its cells.
+ */
+std::vector<std::string> paperCampaignLayoutNames();
+
+/**
  * The full 54-layout campaign of the paper: growing (9) + random (9)
  * + sliding at X in {20, 40, 60, 80}% (36).
  */

@@ -15,6 +15,13 @@ MosaicLayout::MosaicLayout(Bytes pool_size)
 }
 
 MosaicLayout::MosaicLayout(Bytes pool_size, std::vector<MosaicRegion> regions)
+    : MosaicLayout(Unchecked{}, pool_size, std::move(regions))
+{
+    validate();
+}
+
+MosaicLayout::MosaicLayout(Unchecked, Bytes pool_size,
+                           std::vector<MosaicRegion> regions)
     : poolSize_(alignUp(pool_size, 4_KiB)), regions_(std::move(regions))
 {
     std::sort(regions_.begin(), regions_.end(),
@@ -28,7 +35,6 @@ MosaicLayout::MosaicLayout(Bytes pool_size, std::vector<MosaicRegion> regions)
     });
     for (const auto &region : regions_)
         poolSize_ = std::max(poolSize_, region.end());
-    validate();
 }
 
 MosaicLayout
@@ -59,29 +65,48 @@ MosaicLayout::withWindow(Bytes pool_size, Bytes start, Bytes len,
                                       aligned_end - aligned_start, size}});
 }
 
+Result<void>
+MosaicLayout::checkRegions(Bytes pool_size,
+                           const std::vector<MosaicRegion> &regions)
+{
+    if (pool_size != alignDown(pool_size, 4_KiB))
+        return configError("pool size " + std::to_string(pool_size) +
+                           " is not 4KB aligned");
+    Bytes prev_end = 0;
+    for (const auto &region : regions) {
+        const std::string where =
+            "region at " + std::to_string(region.start);
+        if (region.pageSize == PageSize::Page4K) {
+            return configError(where + ": page size 4KB is the implicit "
+                                       "background, not a region");
+        }
+        const Bytes page = pageBytes(region.pageSize);
+        const std::string size_name = pageSizeName(region.pageSize);
+        if (region.start % page != 0)
+            return configError(where + ": start not aligned to " +
+                               size_name);
+        if (region.length % page != 0)
+            return configError(where + ": length " +
+                               std::to_string(region.length) +
+                               " not a multiple of " + size_name);
+        if (region.start < prev_end)
+            return configError(where + ": start overlaps the previous "
+                                       "region");
+        if (region.end() > pool_size)
+            return configError(where + ": end " +
+                               std::to_string(region.end()) +
+                               " beyond the pool size " +
+                               std::to_string(pool_size));
+        prev_end = region.end();
+    }
+    return {};
+}
+
 void
 MosaicLayout::validate() const
 {
-    mosaic_assert(poolSize_ == alignDown(poolSize_, 4_KiB),
-                  "pool size not 4KB aligned: ", poolSize_);
-    Bytes prev_end = 0;
-    for (const auto &region : regions_) {
-        Bytes page = pageBytes(region.pageSize);
-        mosaic_assert(region.pageSize != PageSize::Page4K,
-                      "explicit 4KB regions are implicit background");
-        mosaic_assert(region.start % page == 0,
-                      "region start ", region.start,
-                      " not aligned to ", pageSizeName(region.pageSize));
-        mosaic_assert(region.length % page == 0,
-                      "region length ", region.length,
-                      " not a multiple of ", pageSizeName(region.pageSize));
-        mosaic_assert(region.start >= prev_end,
-                      "regions overlap at offset ", region.start);
-        mosaic_assert(region.end() <= poolSize_,
-                      "region ends beyond pool: ", region.end(), " > ",
-                      poolSize_);
-        prev_end = region.end();
-    }
+    auto checked = checkRegions(poolSize_, regions_);
+    mosaic_assert(checked.ok(), checked.ok() ? "" : checked.error().str());
 }
 
 PageSize
@@ -171,12 +196,23 @@ MosaicLayout::toConfigString() const
     return os.str();
 }
 
-MosaicLayout
+Result<MosaicLayout>
 MosaicLayout::fromConfigString(Bytes pool_size, const std::string &text)
 {
+    // Format: "<poolSize>;<start>:<length>:<pagesize>,..." (bytes).
+    auto bad = [&](const std::string &what) {
+        return configError("layout config \"" + text + "\": " + what);
+    };
+    auto field = [](const std::string &raw, std::uint64_t &out) {
+        return parseUnsignedFull(trimString(raw), out);
+    };
     auto halves = splitString(text, ';');
-    mosaic_assert(halves.size() == 2, "bad layout config: ", text);
-    Bytes declared = std::stoull(halves[0]);
+    if (halves.size() != 2)
+        return bad("expected <pool size>;<regions>");
+    Bytes declared = 0;
+    if (!field(halves[0], declared))
+        return bad("pool size \"" + halves[0] +
+                   "\" is not an unsigned integer");
     if (pool_size == 0)
         pool_size = declared;
 
@@ -184,15 +220,39 @@ MosaicLayout::fromConfigString(Bytes pool_size, const std::string &text)
     if (!trimString(halves[1]).empty()) {
         for (const auto &piece : splitString(halves[1], ',')) {
             auto fields = splitString(piece, ':');
-            mosaic_assert(fields.size() == 3, "bad region spec: ", piece);
+            if (fields.size() != 3)
+                return bad("region \"" + piece +
+                           "\" is not <start>:<length>:<page size>");
             MosaicRegion region;
-            region.start = std::stoull(fields[0]);
-            region.length = std::stoull(fields[1]);
-            region.pageSize = pageSizeFromBytes(std::stoull(fields[2]));
+            std::uint64_t page = 0;
+            if (!field(fields[0], region.start))
+                return bad("region start \"" + fields[0] +
+                           "\" is not an unsigned integer");
+            if (!field(fields[1], region.length))
+                return bad("region length \"" + fields[1] +
+                           "\" is not an unsigned integer");
+            if (!field(fields[2], page) ||
+                (page != 4_KiB && page != 2_MiB && page != 1_GiB))
+                return bad("region page size \"" + fields[2] +
+                           "\" is not 4096, 2097152 or 1073741824");
+            region.pageSize = pageSizeFromBytes(page);
+            // Like uniform() and withWindow(), a region may pad the
+            // pool up to its own page size, and no further.
+            const Bytes limit = alignUp(pool_size, page);
+            if (region.length > limit ||
+                region.start > limit - region.length)
+                return bad("region at " + std::to_string(region.start) +
+                           ": length " + std::to_string(region.length) +
+                           " runs past the pool size " +
+                           std::to_string(pool_size));
             regions.push_back(region);
         }
     }
-    return MosaicLayout(pool_size, std::move(regions));
+    MosaicLayout layout(Unchecked{}, pool_size, std::move(regions));
+    if (auto checked = checkRegions(layout.poolSize_, layout.regions_);
+        !checked.ok())
+        return bad(checked.error().message());
+    return layout;
 }
 
 } // namespace mosaic::alloc

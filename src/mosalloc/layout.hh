@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mosalloc/page_size.hh"
+#include "support/error.hh"
 #include "support/types.hh"
 
 namespace mosaic::alloc
@@ -99,13 +100,31 @@ class MosaicLayout
     /** Serialize to the environment-variable string format. */
     std::string toConfigString() const;
 
-    /** Parse the environment-variable string format. */
-    static MosaicLayout fromConfigString(Bytes pool_size,
-                                         const std::string &text);
+    /**
+     * Parse the environment-variable string format. Malformed text and
+     * regions that break the invariants above are Config errors naming
+     * the bad field, never a panic.
+     */
+    static Result<MosaicLayout> fromConfigString(Bytes pool_size,
+                                                 const std::string &text);
 
     bool operator==(const MosaicLayout &other) const = default;
 
   private:
+    struct Unchecked
+    {
+    };
+
+    /** The public constructor without validate(): sorts the regions,
+     *  drops empty ones and grows the pool to hold them. */
+    MosaicLayout(Unchecked, Bytes pool_size,
+                 std::vector<MosaicRegion> regions);
+
+    /** The first invariant @p regions (sorted, non-empty) break over
+     *  @p pool_size, as a Config error. */
+    static Result<void> checkRegions(Bytes pool_size,
+                                     const std::vector<MosaicRegion> &regions);
+
     void validate() const;
 
     Bytes poolSize_ = 0;

@@ -296,8 +296,11 @@ ModelRegistry::simulateCold(const Key &key, const SimContext &context)
     std::size_t retries = 0;
     auto prepared =
         exp::prepareWorkload(*workload, config, retries, context, trace);
-    if (!prepared.ok())
+    if (!prepared.ok()) {
+        if (prepared.error().category() == ErrorCategory::Timeout)
+            registry.add("serve/cold_timeouts");
         return prepared.error();
+    }
     if (!trace) {
         std::lock_guard<std::mutex> lock(tracesMutex_);
         traces_.emplace(label, prepared.value().trace);

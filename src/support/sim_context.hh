@@ -94,6 +94,13 @@ class SimContext
         return deadline_ != std::chrono::steady_clock::time_point::max();
     }
 
+    /** True when a finite deadline is set and has passed. */
+    bool expired() const
+    {
+        return hasDeadline() &&
+               std::chrono::steady_clock::now() > deadline_;
+    }
+
     /** Copy of this context with a watchdog deadline. */
     SimContext
     withDeadline(std::chrono::steady_clock::time_point deadline) const

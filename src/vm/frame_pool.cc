@@ -69,8 +69,11 @@ FramePool::addTenantPages(TenantId tenant_id,
     mosaic_assert(tenant_id < tenants_.size(), "unknown tenant ",
                   tenant_id);
     Tenant &tenant = tenants_[tenant_id];
+    mosaic_assert(tenant.runs.empty(), "tenant ", tenant_id,
+                  " declared its pages twice");
     for (const auto &mapping : allocator.pageMappings()) {
-        if (alloc::pageBytes(mapping.pageSize) > budgetBytes())
+        const Bytes bytes = alloc::pageBytes(mapping.pageSize);
+        if (bytes > budgetBytes())
             throw ResourceError(
                 "frame pool of " + std::to_string(os_.memFrames) +
                 " frames cannot hold one " +
@@ -81,12 +84,21 @@ FramePool::addTenantPages(TenantId tenant_id,
         page.tenant = tenant_id;
         page.size = mapping.pageSize;
         pages_.push_back(page);
-        tenant.pagesByVaddr.push_back(
-            static_cast<std::uint32_t>(pages_.size() - 1));
+        // Ids follow enumeration order, so a page that continues the
+        // last run (adjacent, same size) extends it.
+        const unsigned shift = alloc::pageShift(mapping.pageSize);
+        if (!tenant.runs.empty() && tenant.runs.back().shift == shift &&
+            tenant.runs.back().end == mapping.virtBase) {
+            tenant.runs.back().end += bytes;
+            continue;
+        }
+        tenant.runs.push_back(PageRun{
+            mapping.virtBase, mapping.virtBase + bytes,
+            static_cast<std::uint32_t>(pages_.size() - 1), shift});
     }
-    std::sort(tenant.pagesByVaddr.begin(), tenant.pagesByVaddr.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return pages_[a].vbase < pages_[b].vbase;
+    std::sort(tenant.runs.begin(), tenant.runs.end(),
+              [](const PageRun &a, const PageRun &b) {
+                  return a.begin < b.begin;
               });
 }
 
@@ -94,25 +106,21 @@ std::uint32_t
 FramePool::findPage(TenantId tenant_id, VirtAddr vaddr)
 {
     Tenant &tenant = tenants_[tenant_id];
-    if (tenant.lastPage != ~0u) {
-        const Page &memo = pages_[tenant.lastPage];
-        if (vaddr >= memo.vbase &&
-            vaddr - memo.vbase < alloc::pageBytes(memo.size))
-            return tenant.lastPage;
+    // One unsigned compare tests begin <= vaddr < end.
+    if (vaddr - tenant.lastRun.begin >=
+        tenant.lastRun.end - tenant.lastRun.begin) [[unlikely]] {
+        auto it = std::upper_bound(
+            tenant.runs.begin(), tenant.runs.end(), vaddr,
+            [](VirtAddr addr, const PageRun &run) {
+                return addr < run.begin;
+            });
+        mosaic_assert(it != tenant.runs.begin() && vaddr < (it - 1)->end,
+                      "access to undeclared address ", vaddr);
+        tenant.lastRun = *(it - 1);
     }
-    auto it = std::upper_bound(
-        tenant.pagesByVaddr.begin(), tenant.pagesByVaddr.end(), vaddr,
-        [this](VirtAddr addr, std::uint32_t id) {
-            return addr < pages_[id].vbase;
-        });
-    mosaic_assert(it != tenant.pagesByVaddr.begin(),
-                  "access to undeclared address ", vaddr);
-    std::uint32_t id = *(it - 1);
-    const Page &page = pages_[id];
-    mosaic_assert(vaddr - page.vbase < alloc::pageBytes(page.size),
-                  "access to undeclared address ", vaddr);
-    tenant.lastPage = id;
-    return id;
+    const PageRun &run = tenant.lastRun;
+    return run.firstId +
+           static_cast<std::uint32_t>((vaddr - run.begin) >> run.shift);
 }
 
 void
@@ -140,8 +148,6 @@ FramePool::evict(std::uint32_t victim_id, FaultOutcome &out)
         victim.phys);
     victim.resident = false;
     residentBytes_ -= alloc::pageBytes(victim.size);
-    if (owner.lastPage == victim_id)
-        owner.lastPage = ~0u;
     ++out.evictions;
     ++evictions_;
 }
@@ -152,10 +158,12 @@ FramePool::touch(TenantId tenant_id, VirtAddr vaddr, bool is_write)
     FaultOutcome out;
     std::uint32_t id = findPage(tenant_id, vaddr);
     Page &page = pages_[id];
+    out.pageSize = page.size;
     if (page.resident) {
         if (is_write)
             page.dirty = true;
         policy_->touch(id);
+        out.frame = page.phys;
         return out;
     }
 
@@ -172,6 +180,7 @@ FramePool::touch(TenantId tenant_id, VirtAddr vaddr, bool is_write)
     page.dirty = is_write;
     residentBytes_ += need;
     policy_->insert(id);
+    out.frame = page.phys;
     out.majorFault = true;
     out.swapCycles += os_.majorFaultCycles;
     ++majorFaults_;

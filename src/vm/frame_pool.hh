@@ -21,6 +21,9 @@
  * order (deterministic, and it keeps the touched physical footprint
  * compact).
  *
+ * touch() returns the resident page's frame: that is the paged MMU's
+ * translation (see DESIGN.md, "OS layer", for the run index).
+ *
  * Multi-tenant: several address spaces (page table + MMU each) may
  * register with one pool and contend for its frames. An eviction may
  * therefore victimize *another* tenant's page; the pool edits the
@@ -98,10 +101,12 @@ class FramePool
 
     using TenantId = std::uint32_t;
 
-    /** What one residency check cost (all zero when already
-     *  resident). */
+    /** The resident page's frame, and what making it resident cost
+     *  (all zero when it already was). */
     struct FaultOutcome
     {
+        PhysAddr frame = 0; ///< physical base of the page's frame
+        alloc::PageSize pageSize = alloc::PageSize::Page4K;
         Cycles swapCycles = 0;
         bool majorFault = false;
         std::uint32_t evictions = 0;
@@ -114,7 +119,6 @@ class FramePool
     explicit FramePool(const OsConfig &os);
 
     bool paged() const { return os_.paged(); }
-    const OsConfig &osConfig() const { return os_; }
 
     /**
      * Allocate one 4KB frame for a page-table node.
@@ -147,8 +151,9 @@ class FramePool
     TenantId registerTenant(PageTable &pt, ShootdownSink &sink);
 
     /**
-     * Declare every page of @p allocator's layout for @p tenant, all
-     * initially non-resident (first touch takes a major fault).
+     * Declare every page of @p allocator's layout for @p tenant (once
+     * per tenant), all initially non-resident (first touch takes a
+     * major fault).
      * @throws ResourceError if the budget cannot hold even one page
      *         of some declared size.
      */
@@ -158,8 +163,8 @@ class FramePool
     /**
      * Ensure the page covering @p vaddr is resident, evicting victims
      * chosen by the replacement policy as needed; marks the page
-     * dirty on a write. The returned swap cycles are the S charge for
-     * this access.
+     * dirty on a write. Returns the page's frame and size, and the S
+     * charge for this access.
      */
     FaultOutcome touch(TenantId tenant, VirtAddr vaddr, bool is_write);
 
@@ -180,16 +185,27 @@ class FramePool
         bool dirty = false;
     };
 
+    /** Adjacent same-size pages with consecutive ids: vaddr in
+     *  [begin, end) lies in page firstId + ((vaddr - begin) >> shift).
+     *  A layout is a few hundred runs; they never change. */
+    struct PageRun
+    {
+        VirtAddr begin = 0;
+        VirtAddr end = 0;
+        std::uint32_t firstId = 0;
+        unsigned shift = 12;
+    };
+
     struct Tenant
     {
         PageTable *pageTable = nullptr;
         ShootdownSink *sink = nullptr;
 
-        /** Page ids sorted by vbase for binary-search lookup. */
-        std::vector<std::uint32_t> pagesByVaddr;
+        /** Declared pages as runs, sorted by begin. */
+        std::vector<PageRun> runs;
 
-        /** Last page hit (locality memo; ~0u when empty). */
-        std::uint32_t lastPage = ~0u;
+        /** Copy of the last lookup's run (locality memo). */
+        PageRun lastRun;
     };
 
     std::uint32_t findPage(TenantId tenant, VirtAddr vaddr);

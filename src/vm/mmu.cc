@@ -28,19 +28,19 @@ Mmu::translateCold(VirtAddr vaddr, PhysAddr staged_phys,
     }
 
     // Full miss: the walker needs the entry chain, which neither the
-    // staged arrays nor the packed memo carry. Re-derive it from the
-    // page table instead of trusting the caller — the translation is
-    // pure, so a staging pass that has since recycled the memo slot
-    // (another record of the same chunk can map to it) cannot alias
-    // this record's walk. The guard asserts the staged values
-    // still describe this vaddr. All radix indices use address bits
-    // >= 12, so the granule base walks the same entry chain.
+    // staged arrays, the packed memo nor a page record carry.
+    // Re-derive it from the page table instead of trusting the caller
+    // — a staging pass may since have recycled the memo slot, and a
+    // paged frame must agree with the live table. The guard asserts
+    // the caller's values still describe this vaddr. All radix indices
+    // use address bits >= 12, so the granule base walks the same
+    // entry chain.
     Translation xlate =
         pageTable_.translateWith(descentCursor_, (vaddr >> 12) << 12);
     mosaic_assert(xlate.valid, "access to unmapped address ", vaddr);
     mosaic_assert(xlate.physAddr + (vaddr & 0xfff) == staged_phys &&
                       xlate.pageSize == size,
-                  "staged translation aliased for vaddr ", vaddr);
+                  "stale staged translation for vaddr ", vaddr);
     WalkResult walk = walker_.walk(xlate, vaddr, now);
     tlb_.fill(vaddr, size);
     ++counters_.m;
@@ -62,39 +62,15 @@ Mmu::translatePaged(VirtAddr vaddr, bool is_write, Cycles now)
     counters_.evictions += fault.evictions;
     counters_.writebacks += fault.writebacks;
 
-    // The page table is mutable here, so the translation memo and the
-    // staged fast path are bypassed: re-derive the translation from
-    // the live table on every access. The descent cursor stays safe —
-    // it caches node ids, and intermediate nodes are never freed.
-    Translation xlate = pageTable_.translateWith(descentCursor_, vaddr);
-    mosaic_assert(xlate.valid, "access to unmapped address ", vaddr);
-
-    TranslationEvent event;
-    event.physAddr = xlate.physAddr;
-    event.pageSize = xlate.pageSize;
-    // The swap stall serializes the access: TLB/walk latency accrues
-    // after the fault is serviced.
-    event.latency = fault.swapCycles;
+    // The page record's frame is the translation. The swap stall
+    // serializes the access: TLB/walk latency accrues after the fault
+    // is serviced.
+    const PhysAddr phys =
+        fault.frame + (vaddr & (alloc::pageBytes(fault.pageSize) - 1));
+    TranslationEvent event = translateStaged(
+        vaddr, phys, fault.pageSize, now + fault.swapCycles);
+    event.latency += fault.swapCycles;
     event.swapStall = fault.swapCycles;
-    TlbOutcome outcome = tlb_.lookup(vaddr, xlate.pageSize);
-    event.outcome = outcome;
-    if (outcome == TlbOutcome::L1Hit) {
-        ++counters_.l1Hits;
-        return event;
-    }
-    if (outcome == TlbOutcome::L2Hit) {
-        ++counters_.h;
-        event.latency += config_.l2TlbHitLatency;
-        return event;
-    }
-    WalkResult walk =
-        walker_.walk(xlate, vaddr, now + fault.swapCycles);
-    tlb_.fill(vaddr, xlate.pageSize);
-    ++counters_.m;
-    counters_.c += walk.walkCycles;
-    counters_.queueCycles += walk.queueCycles;
-    event.latency += walk.walkCycles;
-    event.queueCycles = walk.queueCycles;
     return event;
 }
 

@@ -89,8 +89,8 @@ struct MmuCounters
  * first translate() call; later map() calls would not be visible
  * through the translation memo. In paged mode (attachPager()) the
  * table is mutable and every access goes through translatePaged(),
- * which bypasses the memo and the staged fast path entirely — the
- * unbounded hot loop is untouched.
+ * which takes the translation from the frame pool's page record
+ * instead of the memo — the unbounded hot loop is untouched.
  */
 class Mmu : public ShootdownSink
 {
@@ -173,8 +173,8 @@ class Mmu : public ShootdownSink
     /**
      * Paged-mode translation: ensure the page is resident first
      * (possibly faulting, evicting, and charging swap cycles into S),
-     * then run the usual TLB/walker accounting against the live page
-     * table. A faulting access always misses the TLB afterwards — its
+     * then translateStaged() the frame the page record names. A
+     * faulting access always misses the TLB afterwards — its
      * translation was shot down when the page was last evicted — so
      * every major fault also counts in M and walks, like the retried
      * instruction on a real machine.
@@ -204,8 +204,6 @@ class Mmu : public ShootdownSink
                   alloc::PageSize size, TlbOutcome outcome, Cycles now);
 
     const MmuCounters &counters() const { return counters_; }
-    const TlbSystem &tlb() const { return tlb_; }
-    const PageWalker &walker() const { return walker_; }
     const MmuConfig &config() const { return config_; }
 
   private:

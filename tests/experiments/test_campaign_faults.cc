@@ -189,6 +189,11 @@ TEST_F(CampaignFaultTest, RunPairExpiredDeadlineFailsCellsAsTimeout)
     EXPECT_EQ(dataset.totalRuns(), 0u);
     EXPECT_EQ(shard.counter("campaign/cells_timed_out"), 55u);
     EXPECT_EQ(shard.counter("campaign/cells_failed"), 55u);
+    // Prep saw the expired deadline first: no trace was obtained, so
+    // no layouts were derived from it either.
+    EXPECT_EQ(shard.phase("campaign/trace").count, 0u);
+    EXPECT_EQ(failures.front().layout, "grow-0");
+    EXPECT_EQ(failures.back().layout, "all-1GB");
 
     // The per-cell budget rides the same path.
     CampaignConfig budgeted = faultConfig();

@@ -185,6 +185,22 @@ TEST(PaperCampaign, FiftyFourLayouts)
               36);
 }
 
+TEST(PaperCampaign, NamesAreTheStructuralList)
+{
+    // Both a profiled pool and one with no misses (the sliding
+    // fallback) name their layouts exactly as the trace-free list does.
+    auto profile = profileWithHotStripe(32_MiB, 16_MiB);
+    trace::MemoryTrace empty;
+    trace::MissProfile cold(empty, poolBase, poolSize);
+    for (const auto *used : {&profile, &cold}) {
+        auto layouts = paperCampaignLayouts(poolSize, *used);
+        std::vector<std::string> names;
+        for (const auto &named : layouts)
+            names.push_back(named.name);
+        EXPECT_EQ(names, paperCampaignLayoutNames());
+    }
+}
+
 TEST(PaperCampaign, IncludesUniformEndpoints)
 {
     auto profile = profileWithHotStripe(32_MiB, 16_MiB);

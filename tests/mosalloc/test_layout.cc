@@ -146,7 +146,7 @@ TEST(MosaicLayout, ConfigStringRoundTrip)
     MosaicLayout layout(16_MiB,
                         {MosaicRegion{2_MiB, 4_MiB, PageSize::Page2M}});
     std::string text = layout.toConfigString();
-    MosaicLayout parsed = MosaicLayout::fromConfigString(0, text);
+    MosaicLayout parsed = MosaicLayout::fromConfigString(0, text).value();
     EXPECT_EQ(parsed, layout);
 }
 
@@ -154,8 +154,38 @@ TEST(MosaicLayout, ConfigStringAll4k)
 {
     MosaicLayout layout(4_MiB);
     MosaicLayout parsed =
-        MosaicLayout::fromConfigString(0, layout.toConfigString());
+        MosaicLayout::fromConfigString(0, layout.toConfigString()).value();
     EXPECT_EQ(parsed, layout);
+}
+
+TEST(MosaicLayout, ConfigStringErrorsNameTheBadField)
+{
+    struct Probe
+    {
+        const char *text;
+        const char *field;
+    };
+    for (const Probe &probe :
+         {Probe{"garbage", "<pool size>;<regions>"},
+          Probe{"x;", "pool size \"x\""},
+          Probe{"16777216;0:2097152", "region \"0:2097152\""},
+          Probe{"16777216;-1:2097152:2097152", "region start \"-1\""},
+          Probe{"16777216;0:2M:2097152", "region length \"2M\""},
+          Probe{"16777216;0:2097152:8192", "region page size \"8192\""},
+          Probe{"16777216;0:4096:4096", "implicit background"},
+          Probe{"16777216;4096:2097152:2097152", "start not aligned"},
+          Probe{"16777216;0:4096:2097152", "not a multiple of 2MB"},
+          Probe{"16777216;0:4194304:2097152,2097152:2097152:2097152",
+                "overlaps"},
+          Probe{"16777216;16777216:2097152:2097152", "runs past"}}) {
+        SCOPED_TRACE(probe.text);
+        auto parsed = MosaicLayout::fromConfigString(0, probe.text);
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.error().category(), ErrorCategory::Config);
+        EXPECT_NE(parsed.error().message().find(probe.field),
+                  std::string::npos)
+            << parsed.error().message();
+    }
 }
 
 TEST(MosaicLayout, PageSizeAtOutOfRangePanics)

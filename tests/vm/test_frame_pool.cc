@@ -4,16 +4,23 @@
  * identity with the pre-refactor PhysMem), exhaustion as structured
  * ResourceErrors, and the bounded demand-paging mode — fault/eviction
  * accounting, shootdown ordering, dirty writeback, LIFO frame reuse,
- * and cross-tenant contention.
+ * and cross-tenant contention — plus the page lookup against a
+ * sorted-page binary-search oracle, and the paged MMU path against
+ * the live page table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "cpu/platform.hh"
+#include "memhier/hierarchy.hh"
 #include "mosalloc/mosalloc.hh"
 #include "support/error.hh"
+#include "support/random.hh"
 #include "vm/frame_pool.hh"
+#include "vm/mmu.hh"
 #include "vm/page_table.hh"
 
 using namespace mosaic;
@@ -299,4 +306,233 @@ TEST(FramePoolBounded, TenantsHaveIndependentPageTables)
     EXPECT_NE(t1.physAddr, t2.physAddr);
     EXPECT_EQ(pool.majorFaults(), 2u);
     EXPECT_EQ(pool.residentBytes(), 8_KiB);
+}
+
+// ---------------------------------------------------------------------
+// Page lookup: the run index against the sorted-page oracle
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A random mosaic over roughly 64MiB (plus, half the time, a leading
+ * 1GB page): alternating stretches of 4KB background and 2MB regions,
+ * so runs of every size start and end at every kind of neighbour.
+ */
+MosaicLayout
+randomMixedLayout(Rng &rng)
+{
+    std::vector<MosaicRegion> regions;
+    Bytes cursor = 0;
+    if (rng.nextBounded(2) == 0) {
+        regions.push_back(MosaicRegion{0, 1_GiB, PageSize::Page1G});
+        cursor = 1_GiB;
+    }
+    const Bytes end = cursor + 64_MiB;
+    while (cursor < end) {
+        // A 4KB stretch (possibly empty), then a 2MB region.
+        cursor += rng.nextBounded(700) * 4_KiB;
+        const Bytes start = alignUp(cursor, 2_MiB);
+        const Bytes length = (1 + rng.nextBounded(4)) * 2_MiB;
+        regions.push_back(MosaicRegion{start, length, PageSize::Page2M});
+        cursor = start + length;
+    }
+    return MosaicLayout(cursor + rng.nextBounded(300) * 4_KiB,
+                        std::move(regions));
+}
+
+MosallocConfig
+randomMixedConfig(Rng &rng)
+{
+    MosallocConfig config;
+    config.heapLayout = randomMixedLayout(rng);
+    config.anonLayout = randomMixedLayout(rng);
+    config.filePoolSize = (1 + rng.nextBounded(64)) * 4_KiB;
+    return config;
+}
+
+/** The pre-run-index lookup: binary search over pages sorted by base. */
+struct PageOracle
+{
+    explicit PageOracle(const Mosalloc &allocator)
+        : pages(allocator.pageMappings())
+    {
+        std::sort(pages.begin(), pages.end(),
+                  [](const alloc::PageMapping &a,
+                     const alloc::PageMapping &b) {
+                      return a.virtBase < b.virtBase;
+                  });
+    }
+
+    /** The page covering @p vaddr, or nullptr when none does. */
+    const alloc::PageMapping *
+    find(VirtAddr vaddr) const
+    {
+        auto it = std::upper_bound(
+            pages.begin(), pages.end(), vaddr,
+            [](VirtAddr addr, const alloc::PageMapping &page) {
+                return addr < page.virtBase;
+            });
+        if (it == pages.begin())
+            return nullptr;
+        const alloc::PageMapping &page = *(it - 1);
+        if (vaddr - page.virtBase >= alloc::pageBytes(page.pageSize))
+            return nullptr;
+        return &page;
+    }
+
+    std::vector<alloc::PageMapping> pages;
+};
+
+/** A tenant over a random mixed config, with its oracle. */
+struct MixedTenant
+{
+    MixedTenant(FramePool &pool, Rng &rng)
+        : config(randomMixedConfig(rng)), allocator(config), table(pool),
+          id(pool.registerTenant(table, sink)), oracle(allocator)
+    {
+        pool.addTenantPages(id, allocator);
+    }
+
+    MosallocConfig config;
+    Mosalloc allocator;
+    PageTable table;
+    RecordingSink sink;
+    FramePool::TenantId id;
+    PageOracle oracle;
+};
+
+/** touch() must land on the oracle's page: same size, and the frame
+ *  it returns is the one the live table maps that page to. */
+void
+expectTouchMatchesOracle(FramePool &pool, MixedTenant &tenant,
+                         VirtAddr vaddr)
+{
+    const alloc::PageMapping *page = tenant.oracle.find(vaddr);
+    ASSERT_NE(page, nullptr) << vaddr;
+    auto outcome = pool.touch(tenant.id, vaddr, false);
+    ASSERT_EQ(outcome.pageSize, page->pageSize) << vaddr;
+    const Translation xlate = tenant.table.translate(vaddr);
+    ASSERT_TRUE(xlate.valid) << vaddr;
+    ASSERT_EQ(xlate.pageSize, page->pageSize) << vaddr;
+    ASSERT_EQ(xlate.physAddr, outcome.frame + (vaddr - page->virtBase))
+        << vaddr;
+}
+
+} // namespace
+
+TEST(FramePoolLookup, RunIndexMatchesSortedPageOracle)
+{
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        // Room for every declared page: nothing is evicted, so each
+        // looked-up page stays mapped for the check.
+        FramePool pool(boundedConfig(4_GiB / 4_KiB * 4));
+        MixedTenant first(pool, rng);
+        MixedTenant second(pool, rng);
+
+        // The first and last byte of every page (so of every run),
+        // alternating tenants so the per-tenant memo keeps switching.
+        const std::size_t most = std::max(first.oracle.pages.size(),
+                                          second.oracle.pages.size());
+        for (std::size_t i = 0; i < most; ++i) {
+            for (MixedTenant *tenant : {&first, &second}) {
+                if (i >= tenant->oracle.pages.size())
+                    continue;
+                const alloc::PageMapping &page = tenant->oracle.pages[i];
+                const Bytes bytes = alloc::pageBytes(page.pageSize);
+                expectTouchMatchesOracle(pool, *tenant, page.virtBase);
+                expectTouchMatchesOracle(pool, *tenant,
+                                         page.virtBase + bytes - 1);
+            }
+        }
+        // Random addresses inside random pages, in random order.
+        for (int i = 0; i < 20000; ++i) {
+            MixedTenant &tenant = rng.nextBounded(2) ? first : second;
+            const alloc::PageMapping &page =
+                tenant.oracle.pages[rng.nextBounded(
+                    tenant.oracle.pages.size())];
+            expectTouchMatchesOracle(
+                pool, tenant,
+                page.virtBase +
+                    rng.nextBounded(alloc::pageBytes(page.pageSize)));
+        }
+        // Addresses no page covers: one byte past each pool, right
+        // after a lookup of the pool's last byte has warmed the memo
+        // with the run that ends there, and one below the first pool.
+        const VirtAddr ends[] = {
+            PoolAddresses::heapBase + first.config.heapLayout.poolSize(),
+            PoolAddresses::anonBase + first.config.anonLayout.poolSize(),
+            PoolAddresses::fileBase + first.config.filePoolSize};
+        for (VirtAddr end : ends) {
+            expectTouchMatchesOracle(pool, first, end - 1);
+            ASSERT_EQ(first.oracle.find(end), nullptr);
+            EXPECT_THROW(pool.touch(first.id, end, false),
+                         std::logic_error);
+        }
+        EXPECT_THROW(pool.touch(first.id, PoolAddresses::heapBase - 1,
+                                false),
+                     std::logic_error);
+    }
+}
+
+/**
+ * The paged MMU path takes its frame from the page record and only
+ * descends the live table on a full TLB miss; under eviction churn it
+ * must still agree with a fresh descent of that table on every access.
+ */
+TEST(FramePoolLookup, PagedTranslationMatchesLivePageTable)
+{
+    const cpu::PlatformSpec platform = cpu::broadwell();
+    for (auto policy :
+         {ReplacementPolicyKind::Fifo, ReplacementPolicyKind::Lru,
+          ReplacementPolicyKind::Clock}) {
+        SCOPED_TRACE(replacementPolicyName(policy));
+        Rng rng(17);
+        // One 1GB frame plus 8MiB: the 1GB page and the small pages
+        // keep pushing each other out.
+        FramePool pool(boundedConfig((1_GiB + 8_MiB) / 4_KiB, policy));
+        MosallocConfig config = randomMixedConfig(rng);
+        config.heapLayout = MosaicLayout(
+            1_GiB + 32_MiB,
+            {MosaicRegion{0, 1_GiB, PageSize::Page1G},
+             MosaicRegion{1_GiB + 8_MiB, 8_MiB, PageSize::Page2M}});
+        Mosalloc allocator(config);
+        PageTable table(pool);
+        mem::MemoryHierarchy hierarchy(platform.hierarchy);
+        Mmu mmu(table, hierarchy, platform.mmu);
+        auto tenant = pool.registerTenant(table, mmu);
+        mmu.attachPager(pool, tenant);
+        pool.addTenantPages(tenant, allocator);
+        const PageOracle oracle(allocator);
+
+        Cycles now = 0;
+        VirtAddr vaddr = PoolAddresses::heapBase;
+        for (int i = 0; i < 60000; ++i) {
+            // Mostly short strides (TLB hits), sometimes a jump to a
+            // random declared page (faults, misses, evictions).
+            if (rng.nextBounded(8) == 0) {
+                const alloc::PageMapping &page =
+                    oracle.pages[rng.nextBounded(oracle.pages.size())];
+                vaddr = page.virtBase +
+                        rng.nextBounded(alloc::pageBytes(page.pageSize));
+            } else {
+                const VirtAddr next = vaddr + rng.nextBounded(256) * 64;
+                if (oracle.find(next))
+                    vaddr = next;
+            }
+            const TranslationEvent event =
+                mmu.translatePaged(vaddr, rng.nextBounded(4) == 0, now);
+            now += 1 + event.latency;
+            const Translation live = table.translate(vaddr);
+            ASSERT_TRUE(live.valid) << i;
+            ASSERT_EQ(event.physAddr, live.physAddr) << i;
+            ASSERT_EQ(event.pageSize, live.pageSize) << i;
+        }
+        EXPECT_GT(pool.evictions(), 1000u);
+        EXPECT_GT(mmu.counters().m, 0u);
+        EXPECT_GT(mmu.counters().l1Hits, 0u);
+    }
 }

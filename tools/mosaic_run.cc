@@ -35,6 +35,7 @@
 #include "support/sim_context.hh"
 #include "support/str.hh"
 #include "tools/cli_common.hh"
+#include "tools/layout_spec.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -49,73 +50,14 @@ constexpr const char *usageText =
     "       mosaic_run --list\n"
     "layout specs:\n"
     "  all-4KB | all-2MB | all-1GB      uniform page size\n"
-    "  window:<start>:<len>             one 2MB window (sizes accept\n"
-    "                                   KiB/MiB/GiB suffixes)\n"
+    "  window:<start>:<len>             one 2MB window, 2MiB-aligned\n"
+    "                                   and inside the pool (sizes\n"
+    "                                   accept KiB/MiB/GiB suffixes)\n"
     "  config:<string>                  MosaicLayout config string\n"
     "                                   (cannot appear in a comma list)\n"
     "multiple layouts run in parallel over --jobs worker threads\n"
     "(default: hardware concurrency) and print as CSV rows in the\n"
     "order given.\n";
-
-/** Parse "64MiB"-style sizes; Parse error on bad suffixes/numbers. */
-Result<Bytes>
-parseSize(const std::string &text)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        return parseError("bad size value: " + text);
-    }
-    std::string suffix = trimString(text.substr(pos));
-    if (suffix == "KiB" || suffix == "K")
-        return static_cast<Bytes>(value * 1024);
-    if (suffix == "MiB" || suffix == "M")
-        return static_cast<Bytes>(value * 1024 * 1024);
-    if (suffix == "GiB" || suffix == "G")
-        return static_cast<Bytes>(value * 1024 * 1024 * 1024);
-    if (suffix.empty() || suffix == "B")
-        return static_cast<Bytes>(value);
-    return parseError("bad size suffix: " + suffix);
-}
-
-Result<alloc::MosaicLayout>
-parseLayout(const std::string &spec, Bytes pool_size)
-{
-    using alloc::MosaicLayout;
-    using alloc::PageSize;
-    if (spec == "all-4KB")
-        return MosaicLayout(pool_size);
-    if (spec == "all-2MB")
-        return MosaicLayout::uniform(pool_size, PageSize::Page2M);
-    if (spec == "all-1GB")
-        return MosaicLayout::uniform(pool_size, PageSize::Page1G);
-    if (spec.rfind("window:", 0) == 0) {
-        auto fields = splitString(spec.substr(7), ':');
-        if (fields.size() != 2)
-            return parseError("bad window spec: " + spec);
-        auto start = parseSize(fields[0]);
-        if (!start.ok())
-            return start.error().withContext("window start in " + spec);
-        auto length = parseSize(fields[1]);
-        if (!length.ok())
-            return length.error().withContext("window length in " + spec);
-        return MosaicLayout::withWindow(pool_size, start.value(),
-                                        length.value(),
-                                        PageSize::Page2M);
-    }
-    if (spec.rfind("config:", 0) == 0) {
-        try {
-            return MosaicLayout::fromConfigString(pool_size,
-                                                  spec.substr(7));
-        } catch (const std::exception &e) {
-            return parseError(std::string("bad layout config: ") +
-                              e.what());
-        }
-    }
-    return parseError("unknown layout spec: " + spec);
-}
 
 int
 runMain(int argc, char **argv)
@@ -161,7 +103,7 @@ runMain(int argc, char **argv)
     for (const auto &spec : specs) {
         parsed.push_back(cli::unwrapOrDie(
             "mosaic_run",
-            parseLayout(spec, workload->primaryPoolSize())));
+            cli::parseLayoutSpec(spec, workload->primaryPoolSize())));
     }
 
     unsigned jobs = 0;
