@@ -82,47 +82,6 @@ class RetireHistory
 };
 
 /**
- * Read the PMU counters of one finished replay back out of the
- * machine's MMU and hierarchy. Shared by run() and runInterleaved()
- * so both produce the readout through identical code.
- */
-RunResult
-readoutCounters(const trace::MemoryTrace &trace, double retire_clock,
-                const vm::Mmu &mmu, const mem::MemoryHierarchy &hierarchy)
-{
-    RunResult result;
-    result.runtimeCycles = static_cast<Cycles>(std::llround(retire_clock));
-    result.instructions = trace.totalInstructions();
-    result.memoryRefs = trace.size();
-
-    const auto &mmu_counters = mmu.counters();
-    result.tlbHitsL2 = mmu_counters.h;
-    result.tlbMisses = mmu_counters.m;
-    result.walkCycles = mmu_counters.c;
-    result.swapCycles = mmu_counters.s;
-    result.majorFaults = mmu_counters.majorFaults;
-    result.evictions = mmu_counters.evictions;
-    result.writebacks = mmu_counters.writebacks;
-    result.l1TlbHits = mmu_counters.l1Hits;
-    result.walkerQueueCycles = mmu_counters.queueCycles;
-
-    auto prog = mem::Requester::Program;
-    auto walk = mem::Requester::Walker;
-    const auto &l1s = hierarchy.l1().stats();
-    const auto &l2s = hierarchy.l2().stats();
-    const auto &l3s = hierarchy.l3().stats();
-    result.progL1dLoads = l1s.accesses(prog);
-    result.progL2Loads = l2s.accesses(prog);
-    result.progL3Loads = l3s.accesses(prog);
-    result.progDramLoads = l3s.misses[static_cast<std::size_t>(prog)];
-    result.walkL1dLoads = l1s.accesses(walk);
-    result.walkL2Loads = l2s.accesses(walk);
-    result.walkL3Loads = l3s.accesses(walk);
-    result.walkDramLoads = l3s.misses[static_cast<std::size_t>(walk)];
-    return result;
-}
-
-/**
  * Cooperative watchdog check, shared by every replay entry point.
  * Called once per chunk — a time query every ~1k simulated records —
  * so the hot record loop stays branch-free of clock reads. The
@@ -374,27 +333,14 @@ struct LaneEngine
     }
 };
 
-} // namespace
-
-RunResult
-CoreModel::run(const trace::MemoryTrace &trace, vm::Mmu &mmu,
-               mem::MemoryHierarchy &hierarchy,
-               std::chrono::steady_clock::time_point deadline)
-{
-    LaneEngine lane(mmu, hierarchy, params_);
-    lane.replayRange(trace.records().data(), 0, trace.size(), deadline);
-    return readoutCounters(trace, lane.retireClock, mmu, hierarchy);
-}
-
-namespace
-{
-
 /**
- * Integral counter snapshot at a measured-segment boundary. Every
- * field is an integer — runtimeCycles is llround(retireClock) — so
- * per-segment deltas telescope exactly: summing the deltas of
- * contiguous segments reproduces run()'s readout bit for bit (the
- * degenerate-coverage property the sampling tests pin).
+ * Integral counter snapshot of a lane. Every field is an integer —
+ * runtimeCycles is llround(retireClock) — so per-segment deltas
+ * telescope exactly: summing the deltas of contiguous segments
+ * reproduces run()'s readout bit for bit (the degenerate-coverage
+ * property the sampling tests pin). A default snapshot is all zeros,
+ * the state of a fresh machine, so run() and runInterleaved() read a
+ * whole replay out as the delta from BoundarySnapshot{}.
  */
 struct BoundarySnapshot
 {
@@ -453,6 +399,17 @@ deltaReadout(const BoundarySnapshot &before, const BoundarySnapshot &after,
 }
 
 } // namespace
+
+RunResult
+CoreModel::run(const trace::MemoryTrace &trace, vm::Mmu &mmu,
+               mem::MemoryHierarchy &hierarchy,
+               std::chrono::steady_clock::time_point deadline)
+{
+    LaneEngine lane(mmu, hierarchy, params_);
+    lane.replayRange(trace.records().data(), 0, trace.size(), deadline);
+    return deltaReadout(BoundarySnapshot{}, takeSnapshot(lane),
+                        trace.totalInstructions(), trace.size());
+}
 
 std::vector<RunResult>
 CoreModel::runSampled(const trace::MemoryTrace &trace,
@@ -538,10 +495,11 @@ CoreModel::runInterleaved(std::span<const TenantLane> lanes,
     std::vector<RunResult> results;
     results.reserve(num_lanes);
     for (std::size_t t = 0; t < num_lanes; ++t) {
-        results.push_back(readoutCounters(*lanes[t].trace,
-                                          states[t].retireClock,
-                                          states[t].mmu,
-                                          states[t].hierarchy));
+        const trace::MemoryTrace &trace = *lanes[t].trace;
+        results.push_back(deltaReadout(BoundarySnapshot{},
+                                       takeSnapshot(states[t]),
+                                       trace.totalInstructions(),
+                                       trace.size()));
     }
     return results;
 }

@@ -23,12 +23,18 @@ parse(std::vector<const char *> words)
 
 mosaic::Result<Args>
 parseKnown(std::vector<const char *> words,
-           const std::vector<std::string> &known)
+           const std::vector<std::string> &flags,
+           const std::vector<std::string> &values)
 {
     words.insert(words.begin(), "prog");
     return parseArgs(static_cast<int>(words.size()),
-                     const_cast<char **>(words.data()), known);
+                     const_cast<char **>(words.data()), flags, values);
 }
+
+// mosaic_campaign's flags and a few of its value options.
+const std::vector<std::string> kFlags = {"no-1gb", "resume"};
+const std::vector<std::string> kValues = {"out", "jobs", "workloads",
+                                          "metrics-out"};
 
 } // namespace
 
@@ -117,8 +123,9 @@ TEST(CliNumeric, RejectsOutOfRange)
 
 TEST(CliNumeric, RejectsBareFlagValue)
 {
-    // "--jobs" with no value parses as the flag sentinel "true",
-    // which must fail numeric parsing instead of becoming 0.
+    // The untyped parse reads "--jobs" with no value as the flag
+    // sentinel "true", which must fail numeric parsing instead of
+    // becoming 0.
     auto value = parseUnsignedValue("jobs", "true");
     ASSERT_FALSE(value.ok());
 }
@@ -228,7 +235,7 @@ TEST(CliNumeric, OptionHelpersUseFallback)
 TEST(CliKnownOptions, AcceptsListedOptionsAndHelp)
 {
     auto args = parseKnown({"--jobs", "4", "--resume", "--help", "x.csv"},
-                           {"jobs", "resume"});
+                           {"resume"}, {"jobs"});
     ASSERT_TRUE(args.ok()) << args.error().str();
     EXPECT_EQ(args.value().get("jobs"), "4");
     EXPECT_TRUE(args.value().has("resume"));
@@ -239,7 +246,7 @@ TEST(CliKnownOptions, UnknownOptionIsAConfigErrorNamingIt)
 {
     // A retired flag must not be silently ignored.
     auto args = parseKnown({"--jobs", "4", "--fused", "--fused-group", "3"},
-                           {"jobs"});
+                           {}, {"jobs"});
     ASSERT_FALSE(args.ok());
     EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
     EXPECT_NE(args.error().str().find("--fused"), std::string::npos);
@@ -250,7 +257,62 @@ TEST(CliKnownOptions, ToolParseExitsTwoWithUsageOnUnknownOption)
     std::vector<const char *> words = {"prog", "--fused"};
     EXPECT_EXIT(parseToolArgs("prog", static_cast<int>(words.size()),
                               const_cast<char **>(words.data()),
-                              {"jobs"}, "usage: prog [--jobs N]\n"),
+                              {}, {"jobs"}, "usage: prog [--jobs N]\n"),
                 ::testing::ExitedWithCode(2),
                 "unknown option --fused(.|\n)*usage: prog");
+}
+
+TEST(CliValueOptions, TrailingValueOptionIsAConfigErrorNamingIt)
+{
+    // A bare trailing "--out" once wrote the campaign CSV to a file
+    // named "true".
+    auto args = parseKnown({"--workloads", "gups/8GB", "--out"}, kFlags,
+                           kValues);
+    ASSERT_FALSE(args.ok());
+    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+    EXPECT_NE(args.error().str().find("--out needs a value"),
+              std::string::npos);
+}
+
+TEST(CliValueOptions, ValueOptionFollowedByAnOptionIsAConfigError)
+{
+    auto args = parseKnown({"--out", "--jobs", "2"}, kFlags, kValues);
+    ASSERT_FALSE(args.ok());
+    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+    EXPECT_NE(args.error().str().find("--out needs a value"),
+              std::string::npos);
+}
+
+TEST(CliValueOptions, TrailingMetricsOutIsAConfigError)
+{
+    // ...and a trailing "--metrics-out" wrote the manifest to ./true.
+    auto args = parseKnown({"--out", "ds.csv", "--metrics-out"}, kFlags,
+                           kValues);
+    ASSERT_FALSE(args.ok());
+    EXPECT_NE(args.error().str().find("--metrics-out needs a value"),
+              std::string::npos);
+}
+
+TEST(CliValueOptions, FlagNeverConsumesTheNextWord)
+{
+    // mosaic_merge's shape: every word after the flag stays positional.
+    auto args = parseKnown({"--out", "m.csv", "--allow-missing-shards",
+                            "a.csv", "b.csv"},
+                           {"allow-missing-shards"}, {"out"});
+    ASSERT_TRUE(args.ok()) << args.error().str();
+    EXPECT_EQ(args.value().get("allow-missing-shards"), "true");
+    EXPECT_EQ(args.value().get("out"), "m.csv");
+    ASSERT_EQ(args.value().positional.size(), 2u);
+    EXPECT_EQ(args.value().positional[0], "a.csv");
+    EXPECT_EQ(args.value().positional[1], "b.csv");
+}
+
+TEST(CliValueOptions, ToolParseExitsTwoOnAMissingValue)
+{
+    std::vector<const char *> words = {"prog", "--jobs", "2", "--out"};
+    EXPECT_EXIT(parseToolArgs("prog", static_cast<int>(words.size()),
+                              const_cast<char **>(words.data()), kFlags,
+                              kValues, "usage: prog [--out FILE]\n"),
+                ::testing::ExitedWithCode(2),
+                "--out needs a value(.|\n)*usage: prog");
 }

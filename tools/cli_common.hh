@@ -46,9 +46,10 @@ struct Args
 };
 
 /**
- * Parse argv. "--key value" pairs become options; "--flag" followed by
- * another option (or nothing) becomes a true flag; everything else is
- * positional.
+ * Parse argv without a list of options. "--key value" pairs become
+ * options; "--flag" followed by another option (or nothing) becomes a
+ * true flag; everything else is positional. The tools use the
+ * four-argument overload below, which tells flags from value options.
  */
 inline Args
 parseArgs(int argc, char **argv)
@@ -72,18 +73,39 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * parseArgs() restricted to @p known option names ("help" is always
- * known): any other "--option" is a Config error naming it, so a
- * mistyped or retired flag cannot be silently ignored.
+ * A tool's argument parse: @p flags are boolean options ("help" is
+ * always one) and never take a value; each of @p values takes the next
+ * word. Any other "--option", or a value option that comes last or is
+ * followed by another "--option", is a Config error naming it, so a
+ * mistyped or retired flag cannot be silently ignored and a missing
+ * value cannot become the word "true".
  */
 inline Result<Args>
-parseArgs(int argc, char **argv, const std::vector<std::string> &known)
+parseArgs(int argc, char **argv, const std::vector<std::string> &flags,
+          const std::vector<std::string> &values)
 {
-    Args args = parseArgs(argc, argv);
-    for (const auto &[key, value] : args.options) {
-        if (key != "help" &&
-            std::find(known.begin(), known.end(), key) == known.end())
+    auto listed = [](const std::vector<std::string> &names,
+                     const std::string &key) {
+        return std::find(names.begin(), names.end(), key) != names.end();
+    };
+    Args args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string word = argv[i];
+        if (word.rfind("--", 0) != 0) {
+            args.positional.push_back(word);
+            continue;
+        }
+        const std::string key = word.substr(2);
+        if (key == "help" || listed(flags, key)) {
+            args.options[key] = "true";
+        } else if (!listed(values, key)) {
             return configError("unknown option --" + key);
+        } else if (i + 1 == argc ||
+                   std::string(argv[i + 1]).rfind("--", 0) == 0) {
+            return configError("option --" + key + " needs a value");
+        } else {
+            args.options[key] = argv[++i];
+        }
     }
     return args;
 }
@@ -177,16 +199,17 @@ usage(const std::string &text)
 }
 
 /**
- * A tool's argument parse: every option must be in @p known, else the
- * offending option and the usage text are printed and the tool exits
- * 2. "--help" prints the usage text and exits 2 too.
+ * A tool's argument parse (see the four-argument parseArgs()): an
+ * unknown option or a missing value prints the error and the usage
+ * text and exits 2. "--help" prints the usage text and exits 2 too.
  */
 inline Args
 parseToolArgs(const char *tool, int argc, char **argv,
-              const std::vector<std::string> &known,
+              const std::vector<std::string> &flags,
+              const std::vector<std::string> &values,
               const std::string &usage_text)
 {
-    auto parsed = parseArgs(argc, argv, known);
+    auto parsed = parseArgs(argc, argv, flags, values);
     if (!parsed.ok()) {
         std::fprintf(stderr, "%s: %s\n", tool,
                      parsed.error().str().c_str());

@@ -49,7 +49,7 @@ constexpr const char *usageText =
     "          hardware concurrency, out = mosaic_dataset.csv,\n"
     "          checkpoint every pair\n"
     "--jobs picks the worker-thread count; the dataset CSV is\n"
-    "byte-identical for any value (--threads is a deprecated alias).\n"
+    "byte-identical for any value.\n"
     "--resume keeps cells already present in --out instead of\n"
     "recomputing them; without it the output is rebuilt from scratch.\n"
     "--shard I/N runs only the cells the deterministic round-robin\n"
@@ -90,12 +90,12 @@ campaignMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseToolArgs(
         "mosaic_campaign", argc, argv,
-        {"workloads", "platforms", "jobs", "threads", "no-1gb", "out",
-         "resume", "trace-cache", "checkpoint-every", "max-retries",
-         "shard", "cell-timeout", "mem-frames", "replacement",
-         "swap-cost", "writeback-cost", "co-workload", "sample-mode",
-         "sample-interval", "sample-clusters", "sample-warmup",
-         "metrics-out"},
+        {"no-1gb", "resume"},
+        {"workloads", "platforms", "jobs", "out", "trace-cache",
+         "checkpoint-every", "max-retries", "shard", "cell-timeout",
+         "mem-frames", "replacement", "swap-cost", "writeback-cost",
+         "co-workload", "sample-mode", "sample-interval",
+         "sample-clusters", "sample-warmup", "metrics-out"},
         usageText);
 
     exp::CampaignConfig config;
@@ -119,11 +119,6 @@ campaignMain(int argc, char **argv)
         config.jobs = static_cast<unsigned>(cli::unwrapOrDie(
             "mosaic_campaign",
             cli::parseUnsignedValue("jobs", args.get("jobs"), 1,
-                                    4096)));
-    else if (args.has("threads")) // deprecated alias, kept for scripts
-        config.jobs = static_cast<unsigned>(cli::unwrapOrDie(
-            "mosaic_campaign",
-            cli::parseUnsignedValue("threads", args.get("threads"), 1,
                                     4096)));
     if (args.has("no-1gb"))
         config.include1g = false;

@@ -33,7 +33,7 @@ exportMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseToolArgs(
         "mosaic_export", argc, argv,
-        {"dataset", "outdir", "curves", "metrics-out"}, usageText);
+        {}, {"dataset", "outdir", "curves", "metrics-out"}, usageText);
 
     ScopedTimer total_timer(metrics(), "export/total");
     auto dataset = exp::Dataset::load(

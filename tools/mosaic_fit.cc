@@ -34,8 +34,8 @@ fitMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseToolArgs(
         "mosaic_fit", argc, argv,
-        {"dataset", "workload", "platform", "models", "describe",
-         "metrics-out"},
+        {"describe"},
+        {"dataset", "workload", "platform", "models", "metrics-out"},
         usageText);
 
     ScopedTimer total_timer(metrics(), "fit/total");

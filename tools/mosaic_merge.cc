@@ -50,14 +50,8 @@ mergeMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseToolArgs(
         "mosaic_merge", argc, argv,
-        {"out", "allow-missing-shards", "metrics-out"}, usageText);
+        {"allow-missing-shards"}, {"out", "metrics-out"}, usageText);
     const bool allow_missing = args.has("allow-missing-shards");
-    // parseArgs greedily attaches the next bare word to any "--flag";
-    // for this boolean flag that word is really the first shard path,
-    // so hand it back to the positional list.
-    if (std::string v = args.get("allow-missing-shards", "true");
-        v != "true")
-        args.positional.insert(args.positional.begin(), v);
     if (!args.has("out") || args.positional.empty())
         cli::usage(usageText);
     const std::string out = args.get("out");

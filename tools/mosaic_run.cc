@@ -65,8 +65,8 @@ runMain(int argc, char **argv)
     using namespace mosaic;
     auto args = cli::parseToolArgs(
         "mosaic_run", argc, argv,
-        {"workload", "platform", "layout", "jobs", "csv", "stats",
-         "list", "metrics-out"},
+        {"csv", "stats", "list"},
+        {"workload", "platform", "layout", "jobs", "metrics-out"},
         usageText);
 
     if (args.has("list")) {

@@ -77,10 +77,10 @@ main(int argc, char **argv)
     return cli::runGuarded("mosaic_serve", [&]() -> int {
         cli::Args args = cli::parseToolArgs(
             "mosaic_serve", argc, argv,
+            {"no-1gb", "no-cold", "cold-sampled"},
             {"dataset", "socket", "port", "jobs", "query-timeout",
-             "trace-cache", "seed", "no-1gb", "no-cold", "cold-sampled",
-             "sample-interval", "sample-clusters", "sample-warmup",
-             "metrics-out"},
+             "trace-cache", "seed", "sample-interval", "sample-clusters",
+             "sample-warmup", "metrics-out"},
             kUsage);
 
         serve::ModelRegistry::Options regOptions;
