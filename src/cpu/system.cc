@@ -84,8 +84,8 @@ RunResult
 System::run(const trace::MemoryTrace &trace)
 {
     // One registry update per replay, never per record: the inner loop
-    // stays untouched, so the instrumented build holds the
-    // BENCH_replay.json throughput baseline and the golden counters.
+    // stays untouched, so the instrumented build keeps the replay
+    // throughput the benchmark measures and the golden counters.
     MetricsRegistry &registry = context_.metrics();
     ScopedTimer timer(registry, "replay/run");
     RunResult result =

@@ -14,8 +14,8 @@
  *
  * The hot replay loop is never instrumented per record: subsystems
  * record *per run* (one registry update per simulated cell), so the
- * observability layer costs nothing measurable against the
- * BENCH_replay.json throughput baseline.
+ * observability layer costs nothing measurable in the benchmark's
+ * replay throughput (perfbench/).
  */
 
 #ifndef MOSAIC_SUPPORT_METRICS_HH
