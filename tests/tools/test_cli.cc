@@ -31,11 +31,6 @@ parseKnown(std::vector<const char *> words,
                      const_cast<char **>(words.data()), flags, values);
 }
 
-// mosaic_campaign's flags and a few of its value options.
-const std::vector<std::string> kFlags = {"no-1gb", "resume"};
-const std::vector<std::string> kValues = {"out", "jobs", "workloads",
-                                          "metrics-out"};
-
 } // namespace
 
 TEST(Cli, KeyValuePairs)
@@ -262,35 +257,25 @@ TEST(CliKnownOptions, ToolParseExitsTwoWithUsageOnUnknownOption)
                 "unknown option --fused(.|\n)*usage: prog");
 }
 
-TEST(CliValueOptions, TrailingValueOptionIsAConfigErrorNamingIt)
+TEST(CliValueOptions, MissingValueIsAConfigErrorNamingTheOption)
 {
     // A bare trailing "--out" once wrote the campaign CSV to a file
-    // named "true".
-    auto args = parseKnown({"--workloads", "gups/8GB", "--out"}, kFlags,
-                           kValues);
-    ASSERT_FALSE(args.ok());
-    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
-    EXPECT_NE(args.error().str().find("--out needs a value"),
-              std::string::npos);
-}
-
-TEST(CliValueOptions, ValueOptionFollowedByAnOptionIsAConfigError)
-{
-    auto args = parseKnown({"--out", "--jobs", "2"}, kFlags, kValues);
-    ASSERT_FALSE(args.ok());
-    EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
-    EXPECT_NE(args.error().str().find("--out needs a value"),
-              std::string::npos);
-}
-
-TEST(CliValueOptions, TrailingMetricsOutIsAConfigError)
-{
-    // ...and a trailing "--metrics-out" wrote the manifest to ./true.
-    auto args = parseKnown({"--out", "ds.csv", "--metrics-out"}, kFlags,
-                           kValues);
-    ASSERT_FALSE(args.ok());
-    EXPECT_NE(args.error().str().find("--metrics-out needs a value"),
-              std::string::npos);
+    // named "true", and a trailing "--metrics-out" the manifest.
+    const std::vector<std::pair<std::vector<const char *>, std::string>>
+        cases = {
+            {{"--workloads", "gups/8GB", "--out"}, "--out"},
+            {{"--out", "--jobs", "2"}, "--out"},
+            {{"--out", "ds.csv", "--metrics-out"}, "--metrics-out"},
+        };
+    for (const auto &[words, option] : cases) {
+        auto args = parseKnown(words, {"no-1gb", "resume"},
+                               {"out", "jobs", "workloads", "metrics-out"});
+        ASSERT_FALSE(args.ok()) << option;
+        EXPECT_EQ(args.error().category(), mosaic::ErrorCategory::Config);
+        EXPECT_NE(args.error().str().find(option + " needs a value"),
+                  std::string::npos)
+            << args.error().str();
+    }
 }
 
 TEST(CliValueOptions, FlagNeverConsumesTheNextWord)
@@ -305,14 +290,4 @@ TEST(CliValueOptions, FlagNeverConsumesTheNextWord)
     ASSERT_EQ(args.value().positional.size(), 2u);
     EXPECT_EQ(args.value().positional[0], "a.csv");
     EXPECT_EQ(args.value().positional[1], "b.csv");
-}
-
-TEST(CliValueOptions, ToolParseExitsTwoOnAMissingValue)
-{
-    std::vector<const char *> words = {"prog", "--jobs", "2", "--out"};
-    EXPECT_EXIT(parseToolArgs("prog", static_cast<int>(words.size()),
-                              const_cast<char **>(words.data()), kFlags,
-                              kValues, "usage: prog [--out FILE]\n"),
-                ::testing::ExitedWithCode(2),
-                "--out needs a value(.|\n)*usage: prog");
 }

@@ -48,8 +48,10 @@ struct Args
 /**
  * Parse argv without a list of options. "--key value" pairs become
  * options; "--flag" followed by another option (or nothing) becomes a
- * true flag; everything else is positional. The tools use the
- * four-argument overload below, which tells flags from value options.
+ * true flag; everything else is positional. Only the benchmark's
+ * traced-run program (perfbench/traced_run.cc) parses this way; the
+ * tools use the four-argument overload below, which tells flags from
+ * value options.
  */
 inline Args
 parseArgs(int argc, char **argv)

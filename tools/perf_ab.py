@@ -172,7 +172,7 @@ def gate(base_checkout):
 
 # ------------------------------------------------------------ self-test
 
-def synthetic(spec, scale=1.0, correct=True, failed=0, jitter=0.0):
+def synthetic(spec, scale=1.0, correct=True, failed=0):
     """One result line as perfbench/run.py prints it: every end-to-end
     metric at a plausible value, times multiplied by @p scale."""
     values = {"setup_s": 0.2, "campaign_s": 4.0, "predict_per_s": 50000.0,
@@ -182,7 +182,7 @@ def synthetic(spec, scale=1.0, correct=True, failed=0, jitter=0.0):
     for metric in spec["end_to_end"]:
         value = values[metric["name"]]
         if metric["unit"] == "s":
-            value *= scale * (1.0 + jitter)
+            value *= scale
         metrics[metric["name"]] = {"value": value, "unit": metric["unit"]}
     return json.dumps({"correct": correct, "attempted": 100,
                        "failed": failed, "metrics": metrics})
@@ -193,12 +193,11 @@ def self_test():
     workloads = [w["name"] for w in spec["workloads"]]
 
     def runs(scales=None, changed=None):
-        """Synthetic results of every workload: pair i at time scale
-        scales[i] (default: a few percent of jitter), with
+        """Synthetic results of every workload: pair i with its times
+        scaled by scales[i] (default: a few percent of jitter), and
         synthetic(**changed[i]) in place of pair i where given."""
-        lines = [synthetic(spec, jitter=0.01 * (i % 5 - 2)) if not scales
-                 else synthetic(spec, scale=scales[i])
-                 for i in range(PAIRS)]
+        scales = scales or [1.0 + 0.01 * (i % 5 - 2) for i in range(PAIRS)]
+        lines = [synthetic(spec, scale=scale) for scale in scales]
         for pair, kwargs in (changed or {}).items():
             lines[pair] = synthetic(spec, **kwargs)
         return {w: [parse_result("progress\n" + line) for line in lines]
